@@ -189,11 +189,6 @@ class CircuitSpec:
     def num_params(self) -> int:
         return len(self.param_slots)
 
-    @property
-    def param_domain(self) -> tuple[float, float]:
-        """Box bounds applied to every parameter coordinate."""
-        return (0.0, 2.0 * np.pi)
-
     def generators(self) -> list[PauliSum | np.ndarray]:
         return [slot.generator for slot in self.param_slots]
 
@@ -265,16 +260,8 @@ class CircuitSpec:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface
+# Lower-bound hypotheses
 # ---------------------------------------------------------------------------
-
-
-def evolve(circuit, theta: np.ndarray) -> np.ndarray:
-    return circuit.evolve(theta)
-
-
-def partials(circuit, theta: np.ndarray) -> TangentFrame:
-    return circuit.tangent_frame(theta)
 
 
 def check_nondegeneracy(circuit: CircuitSpec) -> tuple[bool, int | None]:
@@ -326,8 +313,8 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
 
     ``full_hea``: per layer, one R_Y slot and one R_Z slot per qubit followed
     by a fixed CZ ring, repeated ``depth`` times (L = 2 * n * depth).  The
-    derived families apply the default structured / random reduction on top
-    of ``full_hea``.
+    truncated models derived from it are built by ``lie.apply_lie_trunc`` and
+    ``lie.apply_random_trunc``.
     """
     if n_qubits < 1 or depth < 1:
         raise ValueError("n_qubits and depth must be >= 1")
@@ -341,15 +328,6 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
             if n_qubits >= 2:
                 ops.append(FixedGate(cz_ring_matrix(n_qubits), label="cz_ring"))
         return CircuitSpec(n_qubits, ops, family="full_hea", depth=depth)
-    if family in ("random_trunc", "lie_trunc"):
-        from . import lie  # deferred: lie builds on top of this module
-
-        base = build_ansatz("full_hea", n_qubits, depth)
-        if family == "random_trunc":
-            circuit, _, _ = lie.apply_random_trunc(base, keep=2, seed=0)
-        else:
-            circuit, _, _ = lie.apply_lie_trunc(base)
-        return circuit
     raise ValueError(f"unknown ansatz family {family!r}")
 
 

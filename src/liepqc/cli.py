@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: sweep, closure, metric, truncate, verify, plot.
-Exit codes: 0 success, 1 cell or check failure, 2 configuration error.
+Exit codes: 0 success, 1 cell or check failure, 2 configuration or input error.
 Set LIEPQC_LOG=debug|info|warning to control verbosity.
 """
 
@@ -144,31 +144,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     from .geometry import read_spectrum_csv
     from .plots import emit_plots
-    from .sweep import SweepRecord
+    from .sweep import CSV_HEADER, SweepRecord
 
     path = Path(args.records)
     rows = path.read_text().strip().splitlines()
-    header = rows[0].split(",")
-    records = []
-    for line in rows[1:]:
-        cells = dict(zip(header, line.split(",")))
-        records.append(
-            SweepRecord(
-                n=int(cells["n"]),
-                method=cells["method"],
-                seed=int(cells["seed"]),
-                d_eff=float(cells["d_eff"]),
-                rank=int(cells["rank"]),
-                kappa=float(cells["kappa"]),
-                var_grad_mean=float(cells["var_grad_mean"]),
-                var_grad_first=float(cells["var_grad_first"]),
-                product_var_deff=float(cells["product_var_deff"]),
-                loss_final=float(cells["loss_final"]),
-                closure_dim=int(cells["closure_dim"]),
-                truncated_dim=int(cells["truncated_dim"]),
-                closure_defect=float(cells["closure_defect"]),
-            )
-        )
+    try:
+        if len(rows) < 2 or rows[0] != CSV_HEADER:
+            raise ValueError("expected the records.csv header and at least one row")
+        records = [SweepRecord.from_csv_row(line) for line in rows[1:]]
+    except ValueError as exc:
+        print(f"input error: {path}: {exc}", file=sys.stderr)
+        return 2
     spectra = {}
     for rec in records:
         spec_path = path.parent / f"spectrum_{rec.method}_{rec.n}.csv"

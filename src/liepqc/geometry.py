@@ -89,7 +89,11 @@ class MetricReport:
 
 def fs_metric_at(circuit, theta: np.ndarray) -> np.ndarray:
     """Pointwise pullback metric at one parameter point (symmetric PSD)."""
-    frame = circuit.tangent_frame(theta)
+    return frame_metric(circuit.tangent_frame(theta))
+
+
+def frame_metric(frame) -> np.ndarray:
+    """Pullback metric from an already evaluated tangent frame."""
     g = np.real(frame.projected.conj().T @ frame.projected)
     return 0.5 * (g + g.T)
 

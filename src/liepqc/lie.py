@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as dense_expm
 
 from .pauli import PauliSum
-from .circuits import CircuitSpec, ParamSlot, FixedGate, TangentFrame
+from .circuits import CircuitSpec, ParamSlot, FixedGate
 from .util import rng_from
 
 
@@ -101,6 +100,14 @@ def _project_residual(x: PauliSum, basis: list[PauliSum]) -> PauliSum:
 def orthonormalize_sums(
     vectors: list[PauliSum], tol: float
 ) -> tuple[list[PauliSum], dict[int, float]]:
+    """HS-orthonormalize Pauli sums with two-pass reorthogonalization.
+
+    Returns the accepted basis and a map input index -> residual HS norm after
+    projection onto the previously accepted span; residuals at or below
+    ``tol`` are rejected as linearly dependent.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     basis: list[PauliSum] = []
     residuals: dict[int, float] = {}
     for idx, v in enumerate(vectors):
@@ -144,8 +151,6 @@ def lie_closure(
             raise ValueError("closure generators must be skew-Hermitian")
     if tol is None:
         tol = _default_tol(generators)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     full_dim = 4 ** n_qubits
     if max_dim is None:
         max_dim = full_dim
@@ -373,86 +378,19 @@ def _pauli_scale_generators(basis: LieBasis) -> list[PauliSum]:
 
 def truncated_circuit(
     basis: LieBasis,
-    parameterization: str = "product",
     initial_state: np.ndarray | None = None,
     family: str = "truncated",
-):
-    """Build the reduced model reachable from a truncated basis.
+) -> CircuitSpec:
+    """Reduced model reachable from a truncated basis.
 
-    ``product``: one rotation slot per basis element, |psi(c)> =
-    prod_j exp(-i c_j H_j) |psi0>, with exact derivatives from the circuit
-    machinery.  ``single_exp``: |psi(c)> = exp(sum_j c_j X_j) |psi0> with
-    derivatives from the block-matrix identity
-    exp([[A, E], [0, A]]) = [[e^A, De^A(E)], [0, e^A]].
-    Both use the same Pauli-scale generator normalization, so they agree to
-    first order in c.
+    One rotation slot per basis element, |psi(c)> = prod_j exp(-i c_j H_j)
+    |psi0>, at the Pauli-scale generator normalization, with exact
+    derivatives from the circuit machinery.
     """
     if basis.dim == 0:
         raise ValueError("cannot build a model from an empty basis")
-    if parameterization == "product":
-        slots = [ParamSlot(h) for h in _pauli_scale_generators(basis)]
-        return CircuitSpec(
-            basis.n_qubits, slots, initial_state=initial_state, family=family
-        )
-    if parameterization == "single_exp":
-        return SingleExpModel(basis, initial_state=initial_state, family=family)
-    raise ValueError(f"unknown parameterization {parameterization!r}")
-
-
-class SingleExpModel:
-    """State family exp(sum_j c_j X_j)|psi0> over a fixed skew basis."""
-
-    def __init__(self, basis: LieBasis, initial_state: np.ndarray | None = None,
-                 family: str = "truncated_single_exp"):
-        if basis.dim == 0:
-            raise ValueError("cannot build a model from an empty basis")
-        self.basis = basis
-        self.n_qubits = basis.n_qubits
-        self.dim = basis.dim_hilbert
-        self.family = family
-        # same Pauli-scale normalization as the product form: slot exp(-i c h)
-        # with h = scale * (-i X) corresponds to exp(c * (-scale * X))
-        root_dim = float(np.sqrt(self.dim))
-        self.skew_dense = [
-            -(root_dim / el.hs_norm()) * el.dense() for el in basis.elements
-        ]
-        if initial_state is None:
-            initial_state = np.zeros(self.dim, dtype=complex)
-            initial_state[0] = 1.0
-        self.initial_state = np.asarray(initial_state, dtype=complex)
-
-    @property
-    def num_params(self) -> int:
-        return len(self.skew_dense)
-
-    def _assemble(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.num_params,):
-            raise ValueError("parameter vector has wrong length")
-        a = np.zeros((self.dim, self.dim), dtype=complex)
-        for cj, xj in zip(c, self.skew_dense):
-            a = a + cj * xj
-        return a
-
-    def evolve(self, c: np.ndarray) -> np.ndarray:
-        from .linalg import expm_skew
-
-        return expm_skew(self._assemble(c)) @ self.initial_state
-
-    def tangent_frame(self, c: np.ndarray) -> TangentFrame:
-        a = self._assemble(c)
-        partials = np.empty((self.dim, self.num_params), dtype=complex)
-        state = None
-        for j, xj in enumerate(self.skew_dense):
-            block = np.zeros((2 * self.dim, 2 * self.dim), dtype=complex)
-            block[: self.dim, : self.dim] = a
-            block[self.dim :, self.dim :] = a
-            block[: self.dim, self.dim :] = xj
-            big = dense_expm(block)
-            partials[:, j] = big[: self.dim, self.dim :] @ self.initial_state
-            if state is None:
-                state = big[: self.dim, : self.dim] @ self.initial_state
-        return TangentFrame.build(state, partials)
+    slots = [ParamSlot(h) for h in _pauli_scale_generators(basis)]
+    return CircuitSpec(basis.n_qubits, slots, initial_state=initial_state, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +429,7 @@ def apply_random_trunc(
     """Random truncation of a circuit's generator set, keeping its layout."""
     gens = circuit.skew_generators()
     basis, report = random_trunc(gens, keep, seed)
-    root_dim = float(np.sqrt(2 ** circuit.n_qubits))
-    kept_h = [
-        ((root_dim / ((-1j) * el).hs_norm()) * ((-1j) * el)).prune()
-        for el in basis.elements
-    ]
-    reduced = reassign_slots(circuit, kept_h)
+    reduced = reassign_slots(circuit, _pauli_scale_generators(basis))
     return reduced, basis, report
 
 
@@ -510,7 +443,5 @@ def apply_lie_trunc(
     gens = circuit.skew_generators()
     closure = lie_closure(gens, max_dim=max_closure_dim)
     trunc, report = lie_trunc(closure, gens, depth_cap=depth_cap, dim_budget=dim_budget)
-    model = truncated_circuit(
-        trunc, "product", initial_state=circuit.initial_state, family="lie_trunc"
-    )
+    model = truncated_circuit(trunc, initial_state=circuit.initial_state, family="lie_trunc")
     return model, trunc, report

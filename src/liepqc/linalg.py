@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliSum
-
 HERMITICITY_RTOL = 1e-12
-REALNESS_TOL = 1e-10
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -48,26 +45,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr(A^dagger B) as a real number.
-
-    Meant for pairs that are both Hermitian or both skew-Hermitian; a residual
-    imaginary part above REALNESS_TOL signals a violated precondition.
-    """
-    a = _check_square(a)
-    b = _check_square(b)
-    _check_same_dim(a, b)
-    val = complex(np.trace(a.conj().T @ b))
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > REALNESS_TOL * scale:
-        raise ValueError(f"hs_inner is not real (imag={val.imag:.3e}); mixed symmetry inputs?")
-    return float(val.real)
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a).ravel()))
-
-
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix."""
     a = _check_square(a)
@@ -77,24 +54,8 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def expm_skew(x: np.ndarray | PauliSum, t: float = 1.0) -> np.ndarray:
-    """Unitary exp(t X) for skew-Hermitian X.
-
-    A PauliSum with a single term -i*c*P takes the closed-form rotation
-    cos(ct) I - i sin(ct) P; everything else goes through the eigensolver of
-    the Hermitian matrix iX.
-    """
-    if isinstance(x, PauliSum):
-        if not x.is_skew_hermitian():
-            raise ValueError("expm_skew requires a skew-Hermitian operator")
-        single = x.single_string()
-        if single is not None:
-            # X = -i c P with real c, so exp(tX) = cos(ct) I - i sin(ct) P
-            c = single.coefficient / -1j
-            dim = 2 ** x.n_qubits
-            p = PauliSum.from_letters(x.n_qubits, single.letters).dense()
-            return np.cos(c.real * t) * np.eye(dim) - 1j * np.sin(c.real * t) * p
-        x = x.dense()
+def expm_skew(x: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Unitary exp(t X) for a skew-Hermitian matrix X, via the eigensolver of iX."""
     x = _check_square(x)
     if not is_skew_hermitian(x):
         raise ValueError("expm_skew requires a skew-Hermitian matrix")
@@ -109,37 +70,3 @@ def op_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def gram_schmidt_hs(
-    vectors: list[np.ndarray], tolerance: float | None = None
-) -> tuple[list[np.ndarray], dict[int, float]]:
-    """HS-orthonormalize skew-Hermitian matrices with two-pass reorthogonalization.
-
-    Returns the accepted basis and a map input index -> residual HS norm after
-    projection onto the previously accepted span.  A second projection pass
-    keeps orthogonality sharp near the rank boundary; default acceptance
-    threshold is 1e-10 times the largest input norm.
-    """
-    if tolerance is not None and tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    mats = [_check_square(v) for v in vectors]
-    for m in mats:
-        if not is_skew_hermitian(m):
-            raise ValueError("gram_schmidt_hs expects skew-Hermitian inputs")
-    if tolerance is None:
-        scale = max((hs_norm(m) for m in mats), default=0.0)
-        tolerance = 1e-10 * max(scale, 1e-300)
-
-    basis: list[np.ndarray] = []
-    residual_map: dict[int, float] = {}
-    for idx, m in enumerate(mats):
-        r = m.copy()
-        for _ in range(2):
-            for b in basis:
-                r = r - hs_inner(b, r) * b
-        norm = hs_norm(r)
-        residual_map[idx] = norm
-        if norm > tolerance:
-            basis.append(r / norm)
-    return basis, residual_map

@@ -66,10 +66,6 @@ class PauliString:
             )
         _check_letters(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) <= {"I"}
-
     def dense(self) -> np.ndarray:
         mat = np.array([[self.coefficient]], dtype=complex)
         for ch in self.letters:
@@ -132,10 +128,6 @@ class PauliSum:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_string(cls, s: PauliString) -> "PauliSum":
-        return cls(s.n_qubits, {s.letters: s.coefficient})
 
     @classmethod
     def from_letters(cls, n_qubits: int, letters: str, coeff: complex = 1.0) -> "PauliSum":
@@ -281,10 +273,6 @@ class PauliSum:
         ]
         return " + ".join(parts)
 
-    def coefficient_vector(self, basis: list[str]) -> np.ndarray:
-        """Coefficients against an explicit string basis (zeros where absent)."""
-        return np.array([self.terms.get(b, 0.0) for b in basis], dtype=complex)
-
     def _check_compatible(self, other: "PauliSum") -> None:
         if self.n_qubits != other.n_qubits:
             raise ValueError(
@@ -301,14 +289,3 @@ def all_strings(n_qubits: int) -> list[str]:
     for _ in range(n_qubits):
         words = [w + ch for w in words for ch in PAULI_LETTERS]
     return words
-
-
-def pauli_rotation_dense(letters: str, angle: float) -> np.ndarray:
-    """Dense exp(-i * angle * P) for a unit-coefficient string P.
-
-    Uses P^2 = I:  exp(-i a P) = cos(a) I - i sin(a) P.
-    """
-    _check_letters(letters)
-    n = len(letters)
-    p = PauliString(n, letters).dense()
-    return np.cos(angle) * np.eye(2 ** n) - 1j * np.sin(angle) * p

@@ -43,6 +43,8 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     t = start
     while t <= hi + 1e-12 * span:
         ticks.append(round(t, 12))
+        if t + step == t:  # step below one ulp of t: no later tick is representable
+            break
         t += step
     return ticks or [lo, hi]
 

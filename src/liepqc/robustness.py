@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import CircuitSpec, ParamSlot, FixedGate
-from .geometry import SamplingSpec, empirical_metric
+from .geometry import SamplingSpec
 from .linalg import expm_skew, op_norm, is_skew_hermitian
 from .trainability import LossSpec, gradient_variance, gradient_descent
 from .util import rng_from
@@ -146,13 +146,12 @@ def perturbed_sweep(
     loss = loss or LossSpec()
 
     def measure(c: CircuitSpec) -> dict:
-        metric = empirical_metric(c, sampling)
-        var = gradient_variance(c, loss, sampling, metric=metric)
+        var = gradient_variance(c, loss, sampling)
         theta0 = rng_from(seed, "perturbed_opt").uniform(0, 2 * np.pi, c.num_params)
         _, losses = gradient_descent(c, loss, theta0, opt_steps, opt_rate)
         return {
-            "d_eff": metric.d_eff,
-            "rank": metric.rank,
+            "d_eff": var.metric.d_eff,
+            "rank": var.metric.rank,
             "var_grad_mean": var.mean_component_variance,
             "loss_final": float(losses[-1]),
         }

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .circuits import build_ansatz
-from .geometry import SamplingSpec, empirical_metric, write_spectrum_csv
+from .geometry import SamplingSpec, write_spectrum_csv
 from .lie import apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
 from .util import rng_from
@@ -72,6 +74,18 @@ class SweepConfig:
             raise ConfigError(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # the HEA has 2n distinct generator directions (R_Y and R_Z per qubit)
+        max_keep = 2 * min(self.qubit_range)
+        if "random_trunc" in self.methods and not 1 <= self.random_keep <= max_keep:
+            raise ConfigError(
+                f"random_keep must lie in [1, {max_keep}] (2 * smallest qubit count)"
+            )
+        if self.lie_depth_cap < 0:
+            raise ConfigError("lie_depth_cap must be >= 0")
+        if self.lie_dim_budget < 0:
+            raise ConfigError("lie_dim_budget must be >= 0 (0 = generator span dimension)")
+        if not (math.isfinite(self.opt_rate) and self.opt_rate > 0):
+            raise ConfigError("opt_rate must be finite and > 0")
 
     def to_json(self) -> dict:
         return {
@@ -166,6 +180,16 @@ class SweepRecord:
         ]
         return ",".join(cells)
 
+    @classmethod
+    def from_csv_row(cls, line: str) -> "SweepRecord":
+        """Inverse of :meth:`csv_row`; fields outside the CSV keep their defaults."""
+        names = CSV_HEADER.split(",")
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"expected {len(names)} CSV cells, got {len(cells)}: {line!r}")
+        types = get_type_hints(cls)
+        return cls(**{name: types[name](cell) for name, cell in zip(names, cells)})
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -212,8 +236,8 @@ def run_cell(config: SweepConfig, n: int, method: str) -> SweepRecord:
         seed=seed,
         sigma=config.sampling.sigma,
     )
-    metric = empirical_metric(model, sampling)
-    variance = gradient_variance(model, config.loss, sampling, metric=metric)
+    variance = gradient_variance(model, config.loss, sampling)
+    metric = variance.metric
 
     theta0 = rng_from(seed, "theta0").uniform(0.0, 2.0 * np.pi, model.num_params)
     _, trajectory = gradient_descent(
@@ -229,7 +253,7 @@ def run_cell(config: SweepConfig, n: int, method: str) -> SweepRecord:
         kappa=metric.kappa,
         var_grad_mean=variance.mean_component_variance,
         var_grad_first=variance.first_component_variance,
-        product_var_deff=variance.mean_component_variance * metric.d_eff,
+        product_var_deff=variance.product_var_deff,
         loss_final=float(trajectory[-1]),
         closure_dim=closure.dim,
         truncated_dim=truncated_dim,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliSum
-from .geometry import SamplingSpec, MetricReport, empirical_metric
+from .geometry import SamplingSpec, MetricReport, frame_metric, metric_report
 from .util import pairwise_mean
 
 
@@ -100,8 +100,12 @@ def loss_and_gradient(circuit, theta: np.ndarray, loss: LossSpec) -> tuple[float
     obs = loss.observable_dense(circuit.n_qubits)
     frame = circuit.tangent_frame(theta)
     value = float(np.real(frame.state.conj() @ (obs @ frame.state)))
-    grad = 2.0 * np.real(frame.partials.conj().T @ (obs @ frame.state))
-    return value, grad
+    return value, _frame_gradient(frame, obs)
+
+
+def _frame_gradient(frame, obs: np.ndarray) -> np.ndarray:
+    """grad_k = 2 Re <d_k psi| O |psi> from an evaluated tangent frame."""
+    return 2.0 * np.real(frame.partials.conj().T @ (obs @ frame.state))
 
 
 @dataclass
@@ -157,12 +161,11 @@ def svd_chain_rule(circuit, theta: np.ndarray, loss: LossSpec) -> JacobianDecomp
 class VarianceReport:
     """Componentwise gradient variance over seeded parameter draws.
 
-    mode_variances re-expresses the same samples in the frozen eigenframe of
-    the paired empirical metric: entry i is the variance of the gradient
-    projection onto metric eigenvector i, the spectral form of the variance
-    decomposition (their sum equals the component sum exactly).
-    scaling_ratio is mean variance times kappa times d_eff, the two sides of
-    the conditioning heuristic combined into one number.
+    ``metric`` is the empirical metric over the same draws.  mode_variances
+    re-expresses the samples in its frozen eigenframe: entry i is the
+    variance of the gradient projection onto metric eigenvector i, the
+    spectral form of the variance decomposition (their sum equals the
+    component sum exactly).
     """
 
     per_component_variance: np.ndarray
@@ -172,7 +175,7 @@ class VarianceReport:
     seed: int
     product_var_deff: float
     mode_variances: np.ndarray
-    scaling_ratio: float
+    metric: MetricReport
 
     def to_json(self) -> dict:
         return {
@@ -183,43 +186,40 @@ class VarianceReport:
             "seed": self.seed,
             "product_var_deff": self.product_var_deff,
             "mode_variances": [float(v) for v in self.mode_variances],
-            "scaling_ratio": self.scaling_ratio,
         }
 
 
-def gradient_variance(
-    circuit,
-    loss: LossSpec,
-    sampling: SamplingSpec,
-    metric: MetricReport | None = None,
-) -> VarianceReport:
-    """Sample variance of the gradient, paired with an empirical metric.
+def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> VarianceReport:
+    """Sample variance of the gradient, paired with the empirical metric.
 
-    When ``metric`` is omitted it is computed from the same sampling spec, so
-    the variance and the effective dimension describe the same parameter
-    distribution.  Reductions are pairwise and per-sample streams are keyed
-    by index: results do not depend on evaluation order.
+    One tangent frame per draw yields both the pointwise metric and the
+    gradient, so the variance and the effective dimension describe the same
+    parameter distribution.  Reductions are pairwise and per-sample streams
+    are keyed by index: results do not depend on evaluation order.
     """
     if sampling.n_samples < 2:
         raise ValueError("variance estimation needs n_samples >= 2")
     num = circuit.num_params
+    obs = loss.observable_dense(circuit.n_qubits)
     grads = np.empty((sampling.n_samples, num))
+    metrics = np.empty((sampling.n_samples, num, num))
     for s in range(sampling.n_samples):
-        theta = sampling.draw(num, s)
-        _, grads[s] = loss_and_gradient(circuit, theta, loss)
+        frame = circuit.tangent_frame(sampling.draw(num, s))
+        metrics[s] = frame_metric(frame)
+        grads[s] = _frame_gradient(frame, obs)
+    metric = metric_report(
+        pairwise_mean(metrics), n_samples=sampling.n_samples, sample_spec=sampling
+    )
     mean_grad = pairwise_mean(grads)
     centered = grads - mean_grad
     factor = sampling.n_samples / (sampling.n_samples - 1)
     per_component = factor * pairwise_mean(centered ** 2)
 
-    if metric is None:
-        metric = empirical_metric(circuit, sampling)
     eigvecs = np.linalg.eigh(metric.metric)[1][:, ::-1]
     mode_centered = centered @ eigvecs
     mode_variances = factor * pairwise_mean(mode_centered ** 2)
 
     mean_var = float(pairwise_mean(per_component))
-    kappa = metric.kappa if np.isfinite(metric.kappa) else np.inf
     return VarianceReport(
         per_component_variance=per_component,
         mean_component_variance=mean_var,
@@ -228,7 +228,7 @@ def gradient_variance(
         seed=sampling.seed,
         product_var_deff=mean_var * metric.d_eff,
         mode_variances=mode_variances,
-        scaling_ratio=float(mean_var * kappa * metric.d_eff),
+        metric=metric,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .circuits import CircuitSpec, ParamSlot, build_ansatz
 from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
-from .lie import apply_lie_trunc, apply_random_trunc, lie_closure
+from .lie import apply_lie_trunc, apply_random_trunc, lie_closure, orthonormalize_sums
 from .pauli import PauliString, PauliSum, all_strings, SINGLE_QUBIT
 from .robustness import trial_batch
 from .sweep import SweepConfig, cell_seed, run_sweep, records_csv_text
@@ -452,19 +452,21 @@ def check_expm_inverse(seed: int = 13) -> dict:
 
 
 def check_gram_schmidt(seed: int = 14) -> dict:
+    """The closure's Gram-Schmidt returns an HS-orthonormal basis."""
     worst = 0.0
     for k in range(20):
         rng = rng_from(seed, "gs", k)
         n = int(rng.integers(1, 3))
-        dim = 2 ** n
-        mats = []
+        pool = [w for w in all_strings(n) if set(w) != {"I"}]
+        sums = []
         for _ in range(int(rng.integers(2, 6))):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            mats.append(0.5 * (g - g.conj().T))
-        basis, _ = linalg.gram_schmidt_hs(mats)
+            picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False)
+            sums.append(PauliSum(n, {pool[i]: 1j * rng.standard_normal() for i in picks}))
+        tol = 1e-10 * max(v.hs_norm() for v in sums)
+        basis, _ = orthonormalize_sums(sums, tol)
         for i in range(len(basis)):
             for j in range(len(basis)):
-                val = linalg.hs_inner(basis[i], basis[j])
+                val = basis[i].hs_inner(basis[j])
                 worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
     return _check("gram_schmidt_orthonormal", worst <= 1e-8, 1e-8 - worst,
                   f"20 random sets, worst deviation {worst:.2e}")

@@ -5,7 +5,6 @@ import pytest
 
 from liepqc.circuits import build_ansatz
 from liepqc.lie import (
-    SingleExpModel,
     apply_lie_trunc,
     apply_random_trunc,
     lie_closure,
@@ -13,6 +12,7 @@ from liepqc.lie import (
     random_trunc,
     truncated_circuit,
 )
+from liepqc.linalg import expm_skew
 from liepqc.pauli import PauliSum, all_strings
 from liepqc.verify import brute_force_closure_dim
 
@@ -220,52 +220,39 @@ def test_reassignment_preserves_slot_count():
 # ---------------------------------------------------------------------------
 
 
+def _single_exp_state(model, c):
+    """exp(sum_j c_j (-i H_j)) |psi0> over the model's slot generators."""
+    skew = sum(cj * (-1j) * slot.dense_generator() for cj, slot in zip(c, model.param_slots))
+    return expm_skew(skew) @ model.initial_state
+
+
 def test_truncated_circuit_single_element_forms_agree():
     basis = lie_closure([skew(1, "X")])
-    prod = truncated_circuit(basis, "product")
-    single = truncated_circuit(basis, "single_exp")
+    prod = truncated_circuit(basis)
     c = np.array([0.73])
-    np.testing.assert_allclose(prod.evolve(c), single.evolve(c), atol=1e-10)
+    np.testing.assert_allclose(prod.evolve(c), _single_exp_state(prod, c), atol=1e-10)
 
 
 def test_truncated_circuit_zero_params_give_initial_state():
     basis = lie_closure([skew(2, "XI"), skew(2, "IY")])
-    for form in ("product", "single_exp"):
-        model = truncated_circuit(basis, form)
-        psi = model.evolve(np.zeros(model.num_params))
-        want = np.zeros(4, dtype=complex)
-        want[0] = 1.0
-        np.testing.assert_allclose(psi, want, atol=1e-12)
+    model = truncated_circuit(basis)
+    psi = model.evolve(np.zeros(model.num_params))
+    want = np.zeros(4, dtype=complex)
+    want[0] = 1.0
+    np.testing.assert_allclose(psi, want, atol=1e-12)
 
 
 def test_truncated_forms_first_order_agreement():
-    # Baker-Campbell-Hausdorff: forms differ at second order in ||c||
+    # Baker-Campbell-Hausdorff: product and single-exponential forms differ at
+    # second order in ||c||
     basis = lie_closure([skew(1, "X"), skew(1, "Y")], max_dim=2)
-    prod = truncated_circuit(basis, "product")
-    single = truncated_circuit(basis, "single_exp")
+    prod = truncated_circuit(basis)
     rng = np.random.default_rng(25)
     for _ in range(5):
         c = rng.standard_normal(2)
         c *= 1e-3 / np.linalg.norm(c)
-        gap = np.linalg.norm(prod.evolve(c) - single.evolve(c))
+        gap = np.linalg.norm(prod.evolve(c) - _single_exp_state(prod, c))
         assert gap <= 5.0 * np.linalg.norm(c) ** 2
-
-
-def test_single_exp_directional_derivative_matches_fd():
-    basis = lie_closure([skew(2, "XI"), skew(2, "ZZ")])
-    model = truncated_circuit(basis, "single_exp")
-    assert isinstance(model, SingleExpModel)
-    rng = np.random.default_rng(26)
-    c = rng.uniform(-1, 1, model.num_params)
-    frame = model.tangent_frame(c)
-    h = 1e-5
-    for k in range(model.num_params):
-        cp, cm = c.copy(), c.copy()
-        cp[k] += h
-        cm[k] -= h
-        fd = (model.evolve(cp) - model.evolve(cm)) / (2 * h)
-        denom = max(np.linalg.norm(frame.partials[:, k]), 1e-2)
-        assert np.linalg.norm(fd - frame.partials[:, k]) / denom <= 1e-6
 
 
 def test_truncated_circuit_empty_basis_raises():
@@ -273,13 +260,7 @@ def test_truncated_circuit_empty_basis_raises():
     basis.elements = []
     basis.depth_tags = []
     with pytest.raises(ValueError):
-        truncated_circuit(basis, "product")
-
-
-def test_truncated_circuit_unknown_form():
-    basis = lie_closure([skew(1, "X")])
-    with pytest.raises(ValueError):
-        truncated_circuit(basis, "weird")
+        truncated_circuit(basis)
 
 
 def test_lie_trunc_model_slots_recover_unit_strings():

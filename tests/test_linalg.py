@@ -1,20 +1,20 @@
-"""Dense operator helpers: commutators, HS geometry, eigensolves, exponentials."""
+"""Dense operator helpers (commutators, eigensolves, exponentials) and the
+Hilbert-Schmidt Gram-Schmidt the closure runs on Pauli sums."""
 
 import numpy as np
 import pytest
 
+from liepqc.circuits import ParamSlot
+from liepqc.lie import orthonormalize_sums
 from liepqc.linalg import (
     commutator,
     expm_skew,
-    gram_schmidt_hs,
     hermitian_eig,
-    hs_inner,
-    hs_norm,
     is_hermitian,
     is_skew_hermitian,
     op_norm,
 )
-from liepqc.pauli import PauliString, PauliSum
+from liepqc.pauli import PauliString, PauliSum, all_strings
 
 X = PauliString(1, "X").dense()
 Y = PauliString(1, "Y").dense()
@@ -67,19 +67,6 @@ def test_jacobi_identity():
         assert np.max(np.abs(resid)) < 1e-10
 
 
-def test_hs_inner_values():
-    for n in (1, 2, 3):
-        xs = PauliString(n, "X" + "I" * (n - 1)).dense()
-        assert hs_inner(xs, xs) == pytest.approx(2 ** n)
-    assert hs_inner(X, Z) == pytest.approx(0.0)
-    assert hs_inner(np.zeros((2, 2)), Z) == pytest.approx(0.0)
-
-
-def test_hs_inner_rejects_mixed_symmetry():
-    with pytest.raises(ValueError):
-        hs_inner(X, 1j * X)   # Hermitian against skew-Hermitian is not real
-
-
 def test_hermitian_eig_trivial():
     vals, _ = hermitian_eig(Z)
     np.testing.assert_allclose(vals, [1.0, -1.0])
@@ -115,27 +102,26 @@ def test_expm_skew_zero():
 
 
 def test_expm_skew_diagonal_derived():
-    # exp(-i (pi/3) Z@Z)|00> = e^{-i pi/3}|00>, same through both paths
-    zz = PauliSum.from_letters(2, "ZZ", -1j)
+    # exp(-i (pi/3) Z@Z)|00> = e^{-i pi/3}|00>, same through the eigensolver
+    # and the closed-form Pauli rotation of a circuit slot
+    zz = PauliSum.from_letters(2, "ZZ")
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
-    fast = expm_skew(zz, np.pi / 3) @ psi0
-    eig = expm_skew(zz.dense(), np.pi / 3) @ psi0
+    fast = ParamSlot(zz).apply(np.pi / 3, psi0)
+    eig = expm_skew(-1j * zz.dense(), np.pi / 3) @ psi0
     np.testing.assert_allclose(fast, eig, atol=1e-12)
     np.testing.assert_allclose(fast[0], np.exp(-1j * np.pi / 3), atol=1e-12)
 
 
 def test_expm_fast_path_matches_eig_path():
+    # closed form cos(ct) I - i sin(ct) P of a string slot against exp(-i t cP)
     rng = np.random.default_rng(5)
-    from liepqc.pauli import all_strings
-
     for _ in range(20):
         n = int(rng.integers(1, 4))
         pool = [w for w in all_strings(n) if set(w) != {"I"}]
-        coeff = -1j * rng.uniform(0.1, 2.0)
-        ps = PauliSum.from_letters(n, pool[rng.integers(len(pool))], coeff)
+        h = PauliSum.from_letters(n, pool[rng.integers(len(pool))], rng.uniform(0.1, 2.0))
         t = rng.uniform(0.1, 2.0)
         np.testing.assert_allclose(
-            expm_skew(ps, t), expm_skew(ps.dense(), t), atol=1e-10
+            ParamSlot(h).matrix(t), expm_skew(-1j * h.dense(), t), atol=1e-10
         )
 
 
@@ -164,38 +150,47 @@ def test_op_norm_values():
     assert op_norm(m) == pytest.approx(np.sqrt(2.0))
 
 
+def _skew_sum(terms):
+    return PauliSum(1, {k: 1j * v for k, v in terms.items()})
+
+
+def _random_skew_sum(rng, n):
+    return PauliSum(n, {w: 1j * rng.standard_normal() for w in all_strings(n)[1:]})
+
+
 class TestGramSchmidt:
     def test_collinear_inputs(self):
-        basis, residuals = gram_schmidt_hs([1j * X, 2j * X])
+        basis, residuals = orthonormalize_sums([_skew_sum({"X": 1}), _skew_sum({"X": 2})], 1e-10)
         assert len(basis) == 1
         assert residuals[1] < 1e-12
 
     def test_orthogonal_inputs(self):
-        basis, _ = gram_schmidt_hs([1j * X, 1j * Y])
+        basis, _ = orthonormalize_sums([_skew_sum({"X": 1}), _skew_sum({"Y": 1})], 1e-10)
         assert len(basis) == 2
         for b in basis:
-            assert hs_norm(b) == pytest.approx(1.0)
+            assert b.hs_norm() == pytest.approx(1.0)
 
     def test_derived_residual(self):
         # second input i(X+Y)/sqrt(2): projection leaves iY/sqrt(2), norm 1
-        v2 = 1j * (X + Y) / np.sqrt(2.0)
-        basis, residuals = gram_schmidt_hs([1j * X, v2])
+        r = 1 / np.sqrt(2.0)
+        v2 = _skew_sum({"X": r, "Y": r})
+        basis, residuals = orthonormalize_sums([_skew_sum({"X": 1}), v2], 1e-10)
         assert len(basis) == 2
-        assert residuals[1] == pytest.approx(hs_norm(1j * Y) / np.sqrt(2.0))
+        assert residuals[1] == pytest.approx(_skew_sum({"Y": 1}).hs_norm() * r)
         assert residuals[1] == pytest.approx(1.0)
 
     def test_orthonormality_property(self):
         rng = np.random.default_rng(9)
-        mats = [_random_skew(rng, 4) for _ in range(6)]
-        basis, _ = gram_schmidt_hs(mats)
+        sums = [_random_skew_sum(rng, 2) for _ in range(6)]
+        basis, _ = orthonormalize_sums(sums, 1e-10)
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 target = 1.0 if i == j else 0.0
-                assert abs(hs_inner(bi, bj) - target) <= 1e-8
+                assert abs(bi.hs_inner(bj) - target) <= 1e-8
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            gram_schmidt_hs([1j * X], tolerance=0.0)
+            orthonormalize_sums([_skew_sum({"X": 1})], 0.0)
 
 
 def test_hermiticity_checks():

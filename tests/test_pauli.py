@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from liepqc.circuits import ParamSlot
 from liepqc.pauli import (
     PauliString,
     PauliSum,
     all_strings,
     pauli_product,
-    pauli_rotation_dense,
 )
 
 
@@ -119,12 +119,13 @@ class TestPauliSum:
 
 
 def test_rotation_dense_identity_at_zero():
-    np.testing.assert_allclose(pauli_rotation_dense("XZ", 0.0), np.eye(4), atol=1e-15)
+    rotation = ParamSlot(PauliSum.from_letters(2, "XZ"))
+    np.testing.assert_allclose(rotation.matrix(0.0), np.eye(4), atol=1e-15)
 
 
 def test_rotation_dense_matches_series():
     theta = 0.37
     p = PauliString(2, "YX").dense()
-    got = pauli_rotation_dense("YX", theta)
+    got = ParamSlot(PauliSum.from_letters(2, "YX")).matrix(theta)
     want = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * p
     np.testing.assert_allclose(got, want, atol=1e-15)

@@ -9,7 +9,7 @@ import pytest
 import liepqc.sweep as sweep_mod
 from liepqc.cli import main as cli_main
 from liepqc.geometry import SamplingSpec
-from liepqc.plots import emit_plots, line_chart
+from liepqc.plots import _nice_ticks, emit_plots, line_chart
 from liepqc.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -67,6 +67,33 @@ def test_config_from_dict_unknown_key_fails_loud():
         config_from_dict({"loss": {"kind": "vqe_tfim", "bogus": 2}})
 
 
+def test_config_rejects_bad_truncation_and_descent_fields():
+    bad = [
+        {"random_keep": 0},
+        {"random_keep": 5, "qubit_range": [2, 3]},   # HEA at n=2 has 4 directions
+        {"lie_depth_cap": -1},
+        {"lie_dim_budget": -1},
+        {"opt_rate": 0.0},
+        {"opt_rate": -0.1},
+        {"opt_rate": float("inf")},
+        {"opt_rate": float("nan")},
+    ]
+    for data in bad:
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+    # random_keep is bounded only when random_trunc runs; 2 * min(n) is allowed
+    config_from_dict({"random_keep": 99, "methods": ["full"]})
+    cfg = small_config(methods=["random_trunc"], random_keep=4)
+    assert run_cell(cfg, 2, "random_trunc").truncated_dim == 4
+
+
+def test_cli_rejects_bad_field_with_exit_2(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"qubit_range": [2], "random_keep": 5}))
+    assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_round_trip():
     cfg = SweepConfig()
     back = config_from_dict(cfg.to_json())
@@ -96,6 +123,20 @@ def test_record_product_arithmetic():
     cfg = small_config()
     rec = run_cell(cfg, 2, "full")
     assert rec.product_var_deff == rec.var_grad_mean * rec.d_eff
+
+
+def test_record_csv_row_round_trip():
+    rec = SweepRecord(
+        n=3, method="random_trunc", seed=14, d_eff=1.9999999999999998, rank=2,
+        kappa=float("inf"), var_grad_mean=1e-300, var_grad_first=0.0,
+        product_var_deff=0.1 + 0.2, loss_final=-1.0, closure_dim=9,
+        truncated_dim=2, closure_defect=1e-17,
+    )
+    assert SweepRecord.from_csv_row(rec.csv_row()) == rec
+    cell = run_cell(small_config(), 2, "full")
+    assert SweepRecord.from_csv_row(cell.csv_row()).csv_row() == cell.csv_row()
+    with pytest.raises(ValueError):
+        SweepRecord.from_csv_row("2,full,14")
 
 
 def test_csv_header_bit_exact():
@@ -200,6 +241,20 @@ def test_plot_annotation_contains_ratio(tmp_path):
     assert "max/min = 1.11" in text
 
 
+def test_nice_ticks_sub_ulp_range_terminates():
+    # the step (5e-17) is below one ulp of -1.0, so it cannot advance a tick
+    assert _nice_ticks(-1.0, -0.9999999999999998) == [-1.0]
+
+
+def test_sweep_single_qubit_count_completes(tmp_path):
+    # all three n=2 cells descend to a loss of -1 within one ulp of each other
+    cfg = SweepConfig(qubit_range=[2], out_dir=str(tmp_path / "out"))
+    cfg.sampling = SamplingSpec(n_samples=5, seed=0)
+    records, errors = run_sweep(cfg)
+    assert len(records) == 3 and not errors
+    assert len(list((tmp_path / "out").glob("*.svg"))) == 5
+
+
 def test_line_chart_log_scale_skips_nonpositive():
     svg = line_chart([("s", [1, 2, 3], [0.0, 1.0, 10.0])], "t", "x", "y", logy=True)
     assert svg.count("<circle") == 2
@@ -220,6 +275,13 @@ def test_cli_sweep_and_plot(tmp_path):
     code = cli_main(["plot", "--records", str(out / "records.csv"), "--out", str(tmp_path / "figs")])
     assert code == 0
     assert len(list((tmp_path / "figs").glob("*.svg"))) == 5
+
+
+def test_cli_plot_rejects_foreign_csv(tmp_path):
+    foreign = tmp_path / "records.csv"
+    for text in ("a,b\n1,2\n", CSV_HEADER + "\n", CSV_HEADER + "\n2,full,14\n"):
+        foreign.write_text(text)
+        assert cli_main(["plot", "--records", str(foreign)]) == 2
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -197,7 +197,8 @@ def test_variance_product_pairs_with_metric():
     c = build_ansatz("full_hea", 2, 1)
     samp = SamplingSpec(n_samples=25, seed=9)
     metric = empirical_metric(c, samp)
-    rep = gradient_variance(c, LossSpec(), samp, metric=metric)
+    rep = gradient_variance(c, LossSpec(), samp)
+    np.testing.assert_array_equal(rep.metric.metric, metric.metric)
     assert rep.product_var_deff == pytest.approx(
         rep.mean_component_variance * metric.d_eff, rel=1e-12
     )
