@@ -24,10 +24,19 @@ def _setup_logging() -> None:
 
 
 def _load_circuit(path: str):
+    """The circuit in a JSON file, or None after an ``input error:`` line on stderr.
+
+    A missing or unreadable file, malformed JSON and a document that
+    ``circuit_from_json`` rejects are input errors (exit 2), not failures.
+    """
     from .circuits import circuit_from_json
 
-    with open(path) as fh:
-        return circuit_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return circuit_from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"input error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -85,6 +94,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     from .lie import lie_closure
 
     circuit = _load_circuit(args.circuit)
+    if circuit is None:
+        return 2
     basis = lie_closure(circuit.skew_generators(), max_dim=args.max_dim)
     print(json.dumps(basis.to_json(), indent=2))
     return 0
@@ -94,6 +105,8 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     from .geometry import SamplingSpec, empirical_metric
 
     circuit = _load_circuit(args.circuit)
+    if circuit is None:
+        return 2
     rep = empirical_metric(
         circuit, SamplingSpec(n_samples=args.samples, seed=args.seed)
     )
@@ -103,15 +116,20 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 def _cmd_truncate(args: argparse.Namespace) -> int:
     from .circuits import circuit_to_json
-    from .lie import apply_lie_trunc, apply_random_trunc
+    from .lie import apply_lie_trunc, apply_random_trunc, lie_closure
 
     circuit = _load_circuit(args.circuit)
+    if circuit is None:
+        return 2
     if args.mode == "random":
         model, basis, report = apply_random_trunc(circuit, keep=args.keep, seed=args.seed)
     else:
         budget = args.budget if args.budget and args.budget > 0 else None
         model, basis, report = apply_lie_trunc(
-            circuit, depth_cap=args.depth_cap, dim_budget=budget
+            circuit,
+            lie_closure(circuit.skew_generators()),
+            depth_cap=args.depth_cap,
+            dim_budget=budget,
         )
     out = {
         "basis": basis.to_json(),

@@ -14,6 +14,7 @@ for elements admitted from commutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,19 +35,27 @@ class LieBasis:
     closure_defect is the largest HS norm of any pairwise bracket's component
     outside the span (0 means the span is a genuine subalgebra).
     adjoint_proxy is the largest pairwise bracket HS norm, a cheap stand-in
-    for the adjoint spectral radius of the selection.
+    for the adjoint spectral radius of the selection; it costs O(dim^2)
+    brackets and is computed on first read.
     """
 
     dim_hilbert: int
     elements: list[PauliSum]
     depth_tags: list[int]
     closure_defect: float
-    adjoint_proxy: float
     converged: bool = True
 
     @property
     def dim(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def adjoint_proxy(self) -> float:
+        worst = 0.0
+        for i in range(len(self.elements)):
+            for j in range(i + 1, len(self.elements)):
+                worst = max(worst, self.elements[i].commutator(self.elements[j]).hs_norm())
+        return worst
 
     @property
     def n_qubits(self) -> int:
@@ -181,33 +190,23 @@ def lie_closure(
                 break
         newest = added
 
-    defect = 0.0 if not capped else _closure_defect(basis, tol)
-    proxy = _adjoint_proxy(basis)
+    defect = 0.0 if not capped else _closure_defect(basis)
     return LieBasis(
         dim_hilbert=2 ** n_qubits,
         elements=basis,
         depth_tags=depths,
         closure_defect=defect,
-        adjoint_proxy=proxy,
         converged=not capped,
     )
 
 
-def _closure_defect(basis: list[PauliSum], tol: float) -> float:
+def _closure_defect(basis: list[PauliSum]) -> float:
     worst = 0.0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             br = basis[i].commutator(basis[j]).prune()
             r = _project_residual(br, basis)
             worst = max(worst, r.hs_norm())
-    return worst
-
-
-def _adjoint_proxy(basis: list[PauliSum]) -> float:
-    worst = 0.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            worst = max(worst, basis[i].commutator(basis[j]).hs_norm())
     return worst
 
 
@@ -230,23 +229,20 @@ def lie_trunc(
     bracket HS norm against the already-selected set.  Depth is capped at
     ``depth_cap``.  The selection need not be bracket-closed: the residual
     closure defect is measured and reported rather than forced to zero.
+
+    ``closure`` must be ``lie_closure(generators)``: its depth-0 elements are
+    the orthonormalized generator span.
     """
     tol = _default_tol(generators)
-    span_basis, _ = orthonormalize_sums(generators, tol)
-    span_dim = len(span_basis)
+    selected = [el for el, d in zip(closure.elements, closure.depth_tags) if d == 0]
+    sel_depths = [0] * len(selected)
+    span_dim = len(selected)
     if dim_budget is None:
         dim_budget = span_dim
     if dim_budget < span_dim:
         raise ValueError(
             f"dim_budget {dim_budget} is below the generator span dimension {span_dim}"
         )
-
-    selected: list[PauliSum] = []
-    sel_depths: list[int] = []
-    for idx, el in enumerate(closure.elements):
-        if closure.depth_tags[idx] == 0:
-            selected.append(el)
-            sel_depths.append(0)
 
     candidates = [
         (idx, el)
@@ -266,7 +262,7 @@ def lie_trunc(
         selected.append(el)
         sel_depths.append(closure.depth_tags[idx])
 
-    defect_after = _closure_defect(selected, tol)
+    defect_after = _closure_defect(selected)
     report = TruncationReport(
         original_dim=closure.dim,
         truncated_dim=len(selected),
@@ -280,7 +276,6 @@ def lie_trunc(
         elements=selected,
         depth_tags=sel_depths,
         closure_defect=defect_after,
-        adjoint_proxy=_adjoint_proxy(selected),
         converged=defect_after <= tol,
     )
     return trunc, report
@@ -335,7 +330,7 @@ def random_trunc(
     kept = [directions[i] for i in chosen]
 
     basis, _ = orthonormalize_sums(kept, tol)
-    defect = _closure_defect(basis, tol)
+    defect = _closure_defect(basis)
     report = TruncationReport(
         original_dim=span_dim,
         truncated_dim=len(basis),
@@ -349,7 +344,6 @@ def random_trunc(
         elements=basis,
         depth_tags=[0] * len(basis),
         closure_defect=defect,
-        adjoint_proxy=_adjoint_proxy(basis),
         converged=defect <= tol,
     )
     return trunc, report
@@ -435,13 +429,16 @@ def apply_random_trunc(
 
 def apply_lie_trunc(
     circuit: CircuitSpec,
+    closure: LieBasis,
     depth_cap: int = 1,
     dim_budget: int | None = None,
-    max_closure_dim: int | None = None,
 ) -> tuple[CircuitSpec, LieBasis, TruncationReport]:
-    """Closure + structured truncation + product-form model for a circuit."""
+    """Structured truncation + product-form model for a circuit.
+
+    ``closure`` is ``lie_closure(circuit.skew_generators())``, derived once by
+    the caller and shared with whatever else reads the algebra.
+    """
     gens = circuit.skew_generators()
-    closure = lie_closure(gens, max_dim=max_closure_dim)
     trunc, report = lie_trunc(closure, gens, depth_cap=depth_cap, dim_budget=dim_budget)
     model = truncated_circuit(trunc, initial_state=circuit.initial_state, family="lie_trunc")
     return model, trunc, report

@@ -30,7 +30,7 @@ def _color_for(label: str, index: int) -> str:
 
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
-        hi = lo + 1.0
+        hi = lo + max(1.0, math.ulp(lo))  # lo + 1.0 == lo once |lo| passes 2**53
     span = hi - lo
     raw = span / max(count - 1, 1)
     mag = 10 ** math.floor(math.log10(raw))
@@ -90,7 +90,8 @@ def line_chart(
         if y_lo == y_hi:
             y_lo, y_hi = y_lo / 10, y_hi * 10
     elif y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        pad = max(0.5, math.ulp(y_lo))  # y +- 0.5 == y once |y| passes 2**53
+        y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
         pad = 0.06 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad

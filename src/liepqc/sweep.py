@@ -1,11 +1,15 @@
 """Experiment orchestration: build, truncate, measure, optimize, persist.
 
-One sweep cell is a (qubit count, method) pair.  Every cell derives its own
-RNG stream from (master_seed, n, method), so results are independent of
-execution order and worker count; record rows are sorted before writing and
-floats are serialized with repr, which makes the CSV byte-reproducible.
+One sweep cell is a (qubit count, method) pair; one qubit count is the unit
+of work.  Its task builds the ``full_hea`` base circuit and the Lie closure of
+its generators once and hands both to each method cell.  Every cell derives
+its own RNG stream from (master_seed, n, method), so results are independent
+of execution order and worker count; record rows are sorted before writing
+and floats are serialized with repr, which makes the CSV byte-reproducible.
 
-Cell failures are caught and recorded; the remaining cells still run.
+Cell failures are caught and recorded with their traceback; the remaining
+cells still run.  A failure while building the base or its closure is
+recorded for every method of that qubit count.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import hashlib
 import json
 import math
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -21,9 +26,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .circuits import build_ansatz
+from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, write_spectrum_csv
-from .lie import apply_lie_trunc, apply_random_trunc, lie_closure
+from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
 from .util import rng_from
 
@@ -205,12 +210,12 @@ def cell_seed(master_seed: int, n: int, method: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_cell(config: SweepConfig, n: int, method: str) -> SweepRecord:
+def run_cell(
+    config: SweepConfig, n: int, method: str, base: CircuitSpec, closure: LieBasis
+) -> SweepRecord:
+    """One (n, method) cell on the shared ``full_hea`` base and its closure."""
     start = time.perf_counter()
     seed = cell_seed(config.master_seed, n, method)
-    base = build_ansatz("full_hea", n, config.depth)
-    gens = base.skew_generators()
-    closure = lie_closure(gens)
 
     if method == "full":
         model = base
@@ -223,7 +228,7 @@ def run_cell(config: SweepConfig, n: int, method: str) -> SweepRecord:
     elif method == "lie_trunc":
         budget = config.lie_dim_budget if config.lie_dim_budget > 0 else None
         model, _, rep = apply_lie_trunc(
-            base, depth_cap=config.lie_depth_cap, dim_budget=budget
+            base, closure, depth_cap=config.lie_depth_cap, dim_budget=budget
         )
         truncated_dim = rep.truncated_dim
         defect = rep.closure_defect_after
@@ -264,12 +269,33 @@ def run_cell(config: SweepConfig, n: int, method: str) -> SweepRecord:
     )
 
 
-def _cell_task(args: tuple) -> tuple[int, str, SweepRecord | None, str | None]:
-    config, n, method = args
+def _failure(exc: Exception) -> dict:
+    """Error entry of a failed cell; called inside an ``except`` block.
+
+    The traceback is formatted here, in the process that raised, because
+    traceback objects do not pickle across the worker pool.
+    """
+    return {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+
+
+def _qubit_count_task(
+    args: tuple[SweepConfig, int]
+) -> list[tuple[int, str, SweepRecord | None, dict | None]]:
+    """Every method cell of one qubit count, sharing one base and one closure."""
+    config, n = args
     try:
-        return n, method, run_cell(config, n, method), None
-    except Exception as exc:  # cell isolation: report, do not abort the sweep
-        return n, method, None, f"{type(exc).__name__}: {exc}"
+        base = build_ansatz("full_hea", n, config.depth)
+        closure = lie_closure(base.skew_generators())
+    except Exception as exc:  # no cell of this n can run: each records the failure
+        failure = _failure(exc)
+        return [(n, method, None, failure) for method in config.methods]
+    outcomes = []
+    for method in config.methods:
+        try:
+            outcomes.append((n, method, run_cell(config, n, method, base, closure), None))
+        except Exception as exc:  # cell isolation: report, do not abort the sweep
+            outcomes.append((n, method, None, _failure(exc)))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +306,23 @@ def _cell_task(args: tuple) -> tuple[int, str, SweepRecord | None, str | None]:
 def run_sweep(
     config: SweepConfig, write_files: bool = True
 ) -> tuple[list[SweepRecord], list[dict]]:
-    """All (n, method) cells plus CSV / JSON / spectrum / figure outputs."""
-    tasks = [(config, n, m) for n in config.qubit_range for m in config.methods]
+    """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
+
+    The pool maps over qubit counts, so workers beyond their number idle.
+    """
+    tasks = [(config, n) for n in config.qubit_range]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_cell_task, tasks))
+            per_n = list(pool.map(_qubit_count_task, tasks))
     else:
-        outcomes = [_cell_task(t) for t in tasks]
+        per_n = [_qubit_count_task(t) for t in tasks]
 
     method_order = {m: i for i, m in enumerate(config.methods)}
+    outcomes = [o for task_outcomes in per_n for o in task_outcomes]
     outcomes.sort(key=lambda o: (o[0], method_order[o[1]]))
     records = [rec for _, _, rec, err in outcomes if rec is not None]
     errors = [
-        {"n": n, "method": m, "error": err}
+        {"n": n, "method": m, **err}
         for n, m, rec, err in outcomes
         if err is not None
     ]

@@ -97,7 +97,13 @@ def ground_energy(loss: LossSpec, n_qubits: int) -> float:
 
 def loss_and_gradient(circuit, theta: np.ndarray, loss: LossSpec) -> tuple[float, np.ndarray]:
     """Exact loss value and analytic gradient (matches finite differences)."""
-    obs = loss.observable_dense(circuit.n_qubits)
+    return _observable_loss_and_gradient(circuit, theta, loss.observable_dense(circuit.n_qubits))
+
+
+def _observable_loss_and_gradient(
+    circuit, theta: np.ndarray, obs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """:func:`loss_and_gradient` for an already resolved dense observable."""
     frame = circuit.tangent_frame(theta)
     value = float(np.real(frame.state.conj() @ (obs @ frame.state)))
     return value, _frame_gradient(frame, obs)
@@ -326,11 +332,12 @@ def gradient_descent(
     rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-rate descent; returns (final theta, loss trajectory incl. start)."""
+    obs = loss.observable_dense(circuit.n_qubits)
     theta = np.asarray(theta0, dtype=float).copy()
     losses = np.empty(steps + 1)
     for k in range(steps):
-        value, grad = loss_and_gradient(circuit, theta, loss)
+        value, grad = _observable_loss_and_gradient(circuit, theta, obs)
         losses[k] = value
         theta = theta - rate * grad
-    losses[steps], _ = loss_and_gradient(circuit, theta, loss)
+    losses[steps], _ = _observable_loss_and_gradient(circuit, theta, obs)
     return theta, losses

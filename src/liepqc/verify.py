@@ -185,6 +185,7 @@ def check_span_preservation(config: SweepConfig | None = None) -> dict:
         base = build_ansatz("full_hea", n, config.depth)
         lie_model, _, _ = apply_lie_trunc(
             base,
+            lie_closure(base.skew_generators()),
             depth_cap=config.lie_depth_cap,
             dim_budget=config.lie_dim_budget if config.lie_dim_budget > 0 else None,
         )

@@ -5,11 +5,14 @@ doubles as a machine-readable report (`pytest -v -s tests/test_acceptance.py`).
 The same checks back the `liepqc verify` command.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
-from liepqc.sweep import SweepConfig, run_sweep
+from liepqc.sweep import SweepConfig, records_csv_text, run_sweep
 from liepqc.verify import (
     check_closure_oracle,
     check_determinism_and_budget,
@@ -34,6 +37,17 @@ def default_records():
     records, errors = run_sweep(SweepConfig(), write_files=False)
     assert not errors
     return records
+
+
+def test_default_records_match_bench_reference(default_records):
+    # bench/reference.json pins the default sweep's records.csv byte for byte
+    reference = json.loads(
+        (Path(__file__).parents[1] / "bench" / "reference.json").read_text()
+    )
+    expected = reference["sweep_default"][str(SweepConfig().master_seed)]
+    text = records_csv_text(default_records)
+    assert text.splitlines()[1:] == expected["rows"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]
 
 
 def test_criterion_1_span_rank_bound():

@@ -14,7 +14,7 @@ from liepqc.circuits import (
     circuit_to_json,
     cz_ring_matrix,
 )
-from liepqc.lie import apply_lie_trunc, apply_random_trunc
+from liepqc.lie import apply_lie_trunc, apply_random_trunc, lie_closure
 from liepqc.pauli import PauliString, PauliSum, all_strings
 
 
@@ -219,7 +219,7 @@ def test_derived_families_build():
     rt, _, _ = apply_random_trunc(base, keep=2, seed=0)
     assert rt.family == "random_trunc"
     assert rt.num_params == 4          # slot count unchanged
-    lt, _, _ = apply_lie_trunc(base)
+    lt, _, _ = apply_lie_trunc(base, lie_closure(base.skew_generators()))
     assert lt.family == "lie_trunc"
     assert lt.num_params == 4          # span dimension at n=2
 

@@ -263,10 +263,25 @@ def test_truncated_circuit_empty_basis_raises():
         truncated_circuit(basis)
 
 
+def test_adjoint_proxy_is_lazy_pairwise_bracket_maximum():
+    gens = build_ansatz("full_hea", 2, 1).skew_generators()
+    closure = lie_closure(gens)
+    trunc, _ = lie_trunc(closure, gens, depth_cap=1, dim_budget=5)
+    for basis in (closure, trunc):
+        assert "adjoint_proxy" not in vars(basis)
+        want = max(
+            a.commutator(b).hs_norm()
+            for i, a in enumerate(basis.elements)
+            for b in basis.elements[i + 1:]
+        )
+        assert basis.adjoint_proxy == want
+        assert basis.to_json()["adjoint_proxy"] == want
+
+
 def test_lie_trunc_model_slots_recover_unit_strings():
     # span-preserving truncation of the HEA returns plain Pauli rotations
     base = build_ansatz("full_hea", 2, 2)
-    model, basis, report = apply_lie_trunc(base)
+    model, basis, report = apply_lie_trunc(base, lie_closure(base.skew_generators()))
     texts = sorted(op.generator_text() for op in model.param_slots)
     assert texts == ["IY", "IZ", "YI", "ZI"]
     assert report.truncated_dim == 4

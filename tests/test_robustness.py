@@ -92,10 +92,10 @@ def test_perturbed_sweep_continuity_in_noise():
 
 def test_perturbed_sweep_side_by_side_records():
     # structured vs full model degradation at equal noise, both recorded
-    from liepqc.lie import apply_lie_trunc
+    from liepqc.lie import apply_lie_trunc, lie_closure
 
     base = build_ansatz("full_hea", 3, 1)
-    lie_model, _, _ = apply_lie_trunc(base)
+    lie_model, _, _ = apply_lie_trunc(base, lie_closure(base.skew_generators()))
     samp = SamplingSpec(n_samples=8, seed=5)
     rec_full = perturbed_sweep(base, 0.05, samp, opt_steps=5, seed=6)
     rec_lie = perturbed_sweep(lie_model, 0.05, samp, opt_steps=5, seed=6)

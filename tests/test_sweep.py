@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import liepqc.sweep as sweep_mod
+from liepqc.circuits import build_ansatz
 from liepqc.cli import main as cli_main
 from liepqc.geometry import SamplingSpec
+from liepqc.lie import lie_closure
 from liepqc.plots import _nice_ticks, emit_plots, line_chart
 from liepqc.sweep import (
     CSV_HEADER,
@@ -31,6 +33,12 @@ def small_config(**extra):
     cfg = SweepConfig(**base)
     cfg.sampling = SamplingSpec(n_samples=10, seed=0)
     return cfg
+
+
+def cell(config, n, method):
+    """run_cell on the qubit count's base and closure, as the sweep runs it."""
+    base = build_ansatz("full_hea", n, config.depth)
+    return run_cell(config, n, method, base, lie_closure(base.skew_generators()))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def test_config_rejects_bad_truncation_and_descent_fields():
     # random_keep is bounded only when random_trunc runs; 2 * min(n) is allowed
     config_from_dict({"random_keep": 99, "methods": ["full"]})
     cfg = small_config(methods=["random_trunc"], random_keep=4)
-    assert run_cell(cfg, 2, "random_trunc").truncated_dim == 4
+    assert cell(cfg, 2, "random_trunc").truncated_dim == 4
 
 
 def test_cli_rejects_bad_field_with_exit_2(tmp_path):
@@ -107,7 +115,7 @@ def test_config_round_trip():
 
 def test_smoke_cell_under_five_seconds():
     start = time.time()
-    rec = run_cell(small_config(), 2, "full")
+    rec = cell(small_config(), 2, "full")
     assert time.time() - start < 5.0
     assert rec.n == 2 and rec.method == "full"
     assert rec.rank == 4 and rec.closure_dim == 6
@@ -121,7 +129,7 @@ def test_cell_seed_stability():
 
 def test_record_product_arithmetic():
     cfg = small_config()
-    rec = run_cell(cfg, 2, "full")
+    rec = cell(cfg, 2, "full")
     assert rec.product_var_deff == rec.var_grad_mean * rec.d_eff
 
 
@@ -133,8 +141,8 @@ def test_record_csv_row_round_trip():
         truncated_dim=2, closure_defect=1e-17,
     )
     assert SweepRecord.from_csv_row(rec.csv_row()) == rec
-    cell = run_cell(small_config(), 2, "full")
-    assert SweepRecord.from_csv_row(cell.csv_row()).csv_row() == cell.csv_row()
+    full = cell(small_config(), 2, "full")
+    assert SweepRecord.from_csv_row(full.csv_row()).csv_row() == full.csv_row()
     with pytest.raises(ValueError):
         SweepRecord.from_csv_row("2,full,14")
 
@@ -144,7 +152,7 @@ def test_csv_header_bit_exact():
         "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
         "product_var_deff,loss_final,closure_dim,truncated_dim,closure_defect"
     )
-    rec = run_cell(small_config(), 2, "full")
+    rec = cell(small_config(), 2, "full")
     text = records_csv_text([rec])
     assert text.splitlines()[0] == CSV_HEADER
     assert len(text.splitlines()[1].split(",")) == 13
@@ -183,19 +191,64 @@ def test_sweep_worker_count_independent():
 def test_cell_isolation(monkeypatch):
     real_run_cell = sweep_mod.run_cell
 
-    def exploding(config, n, method):
+    def exploding(config, n, method, base, closure):
         if n == 2 and method == "full":
             raise RuntimeError("injected")
-        return real_run_cell(config, n, method)
+        return real_run_cell(config, n, method, base, closure)
 
     monkeypatch.setattr(sweep_mod, "run_cell", exploding)
     cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"])
     records, errors = run_sweep(cfg, write_files=False)
     assert len(errors) == 1
     assert errors[0]["n"] == 2 and errors[0]["method"] == "full"
+    assert errors[0]["error"] == "RuntimeError: injected"
+    assert "in exploding" in errors[0]["traceback"]
+    assert errors[0]["traceback"].rstrip().endswith("RuntimeError: injected")
     assert {(r.n, r.method) for r in records} == {
         (2, "lie_trunc"), (3, "full"), (3, "lie_trunc"),
     }
+
+
+def test_sweep_shares_one_closure_per_qubit_count(monkeypatch):
+    import liepqc.lie as lie_mod
+    from liepqc.trainability import LossSpec
+
+    closures = []
+    real_closure = lie_mod.lie_closure
+
+    def counting_closure(generators, *args, **kwargs):
+        closures.append(len(generators))
+        return real_closure(generators, *args, **kwargs)
+
+    observables = []
+    real_observable = LossSpec.observable_dense
+
+    def counting_observable(self, n_qubits):
+        observables.append(n_qubits)
+        return real_observable(self, n_qubits)
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", counting_closure)
+    monkeypatch.setattr(lie_mod, "lie_closure", counting_closure)
+    monkeypatch.setattr(LossSpec, "observable_dense", counting_observable)
+    cfg = small_config(qubit_range=[2, 3], methods=list(sweep_mod.KNOWN_METHODS), opt_steps=3)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert len(records) == 6 and not errors
+    assert len(closures) == len(cfg.qubit_range)
+    assert len(observables) <= 2 * len(records)
+
+
+def test_cell_failure_before_any_method_is_recorded_per_method(monkeypatch):
+    def failing_closure(generators):
+        raise RuntimeError("no closure")
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", failing_closure)
+    cfg = small_config(methods=["full", "lie_trunc"])
+    records, errors = run_sweep(cfg, write_files=False)
+    assert not records
+    assert [(e["n"], e["method"]) for e in errors] == [(2, "full"), (2, "lie_trunc")]
+    for err in errors:
+        assert err["error"] == "RuntimeError: no closure"
+        assert "in failing_closure" in err["traceback"]
 
 
 def test_json_payload_contents(tmp_path):
@@ -215,7 +268,7 @@ def test_json_payload_contents(tmp_path):
 
 
 def test_plots_single_record(tmp_path):
-    rec = run_cell(small_config(), 2, "full")
+    rec = cell(small_config(), 2, "full")
     created = emit_plots([rec], tmp_path, spectra={("full", 2): np.array(rec.eigenvalues)})
     assert len(created) == 5
     for path in created:
@@ -255,6 +308,13 @@ def test_sweep_single_qubit_count_completes(tmp_path):
     assert len(list((tmp_path / "out").glob("*.svg"))) == 5
 
 
+def test_line_chart_flat_series_beyond_unit_resolution():
+    # 1e17 +- 0.5 == 1e17: the flat-range padding must still open a span
+    svg = line_chart([("s", [2, 3], [1e17, 1e17])], "t", "x", "y")
+    assert svg.count("<circle") == 2
+    assert _nice_ticks(1e17, 1e17)[0] == 1e17
+
+
 def test_line_chart_log_scale_skips_nonpositive():
     svg = line_chart([("s", [1, 2, 3], [0.0, 1.0, 10.0])], "t", "x", "y", logy=True)
     assert svg.count("<circle") == 2
@@ -291,7 +351,7 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_cell_failure_exit_code(tmp_path, monkeypatch):
-    def exploding(config, n, method):
+    def exploding(config, n, method, base, closure):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(sweep_mod, "run_cell", exploding)
@@ -313,6 +373,21 @@ def test_cli_closure_metric_truncate(tmp_path):
     assert cli_main(["truncate", "--circuit", str(circuit_file), "--mode", "random",
                      "--keep", "2", "--seed", "3"]) == 0
     assert cli_main(["truncate", "--circuit", str(circuit_file), "--mode", "lie"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["closure"], ["metric", "--samples", "5"], ["truncate", "--mode", "lie"],
+])
+def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    rejected = tmp_path / "rejected.json"
+    rejected.write_text(json.dumps({"kind": "bogus"}))
+    for path in (tmp_path / "missing.json", malformed, rejected):
+        assert cli_main([command[0], "--circuit", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_closure_output_parses(tmp_path, capsys):
