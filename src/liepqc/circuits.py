@@ -6,18 +6,30 @@ initial state: the first op acts first.  Parameterized slots implement
 factor); fixed gates are arbitrary unitaries such as entangler layers.
 
 Derivatives use the exact product rule: ``d_k psi`` inserts ``-i H_k`` at slot
-k between the prefix and suffix of the gate product.  A single forward pass
-caches intermediate states and one backward pass accumulates suffix
-unitaries, so the whole tangent frame costs O(#ops) matrix products plus one
-generator application per parameter.  The simplified form ``-i H_k U`` that
-is sometimes quoted for commuting generators is deliberately not used: the
+k between the prefix and suffix of the gate product.  A forward pass stores
+the state after every op.  A backward pass carries ``acc``, the dense product
+of the ops after the current one, starting from the last op's matrix; each
+slot's column ``d_k psi = acc @ (-i H_k psi_k)`` is taken on the way, so no
+list of suffix unitaries is kept.  The simplified form ``-i H_k U`` that is
+sometimes quoted for commuting generators is deliberately not used: the
 metric and gradients here must match finite differences for arbitrary
 non-commuting slot sequences.
+
+Two input properties take O(d) paths in place of dense products.  A slot
+whose generator is one Pauli string applies it as a gather: an index
+permutation times a phase vector.  A fixed gate that is diagonal with +-1
+entries (the CZ ring) multiplies states, and the columns of ``acc``, by its
+sign vector.  Both give the bits of the dense BLAS product they replace: each
+output entry is one product with a factor of +-1 or +-i, and BLAS sums start
+from +0 (see :func:`_as_blas_sum`).  Every remaining dense product has the
+operands it has in the plain suffix-product frame that the tests keep as an
+oracle, so the frame matches that oracle bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -26,6 +38,23 @@ from .linalg import hermitian_eig, is_hermitian
 
 NORM_TOL = 1e-10
 NONDEGENERACY_TOL = 1e-10
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    """One shared read-only float identity per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
+def _as_blas_sum(x: np.ndarray) -> np.ndarray:
+    """x with each -0 turned into +0; every other bit is kept.
+
+    A BLAS product sums from +0, so an entry whose terms are all zero comes
+    out as +0, where the single product that replaces the sum can give -0.
+    """
+    return x + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +80,7 @@ class ParamSlot:
         self.label = label
         self._dense_h: np.ndarray | None = None
         self._string_cache: tuple[float, np.ndarray] | None = None
+        self._gather: tuple[np.ndarray, np.ndarray] | None = None
         self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._prepare()
 
@@ -60,6 +90,10 @@ class ParamSlot:
             if single is not None and abs(single.coefficient.imag) == 0.0:
                 p = PauliSum.from_letters(self.n_qubits, single.letters).dense()
                 self._string_cache = (float(single.coefficient.real), p)
+                # each row of a Pauli string has one nonzero entry, a phase
+                rows = np.arange(p.shape[0])
+                cols = np.argmax(p != 0, axis=1)
+                self._gather = (cols, p[rows, cols])
                 return
         h = self.dense_generator()
         self._eig_cache = hermitian_eig(h)
@@ -76,24 +110,27 @@ class ParamSlot:
         """Dense exp(-i theta H)."""
         if self._string_cache is not None:
             c, p = self._string_cache
-            dim = p.shape[0]
-            return np.cos(c * theta) * np.eye(dim) - 1j * np.sin(c * theta) * p
+            return np.cos(c * theta) * _identity(p.shape[0]) - 1j * np.sin(c * theta) * p
         vals, vecs = self._eig_cache
         return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
     def apply(self, theta: float, state: np.ndarray) -> np.ndarray:
         if self._string_cache is not None:
-            c, p = self._string_cache
-            return np.cos(c * theta) * state - 1j * np.sin(c * theta) * (p @ state)
+            c = self._string_cache[0]
+            return np.cos(c * theta) * state - 1j * np.sin(c * theta) * self._string_apply(state)
         vals, vecs = self._eig_cache
         return vecs @ (np.exp(-1j * theta * vals) * (vecs.conj().T @ state))
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """-i H |state>."""
         if self._string_cache is not None:
-            c, p = self._string_cache
-            return -1j * c * (p @ state)
+            return -1j * self._string_cache[0] * self._string_apply(state)
         return -1j * (self.dense_generator() @ state)
+
+    def _string_apply(self, state: np.ndarray) -> np.ndarray:
+        """P |state> for the slot's unit Pauli string P, as a gather."""
+        cols, phases = self._gather
+        return _as_blas_sum(phases * state[cols])
 
     def generator_text(self) -> str:
         if isinstance(self.generator, PauliSum):
@@ -116,11 +153,18 @@ class FixedGate:
         self.matrix_value = matrix
         self.label = label
         self.n_qubits = int(np.log2(dim))
-
-    def matrix(self, theta: float | None = None) -> np.ndarray:
-        return self.matrix_value
+        diag = np.diagonal(matrix)
+        is_sign = (
+            np.count_nonzero(matrix) == dim
+            and not diag.imag.any()
+            and bool(np.all(np.abs(diag.real) == 1.0))
+        )
+        # a diagonal +-1 gate (such as the CZ ring) acts as a sign vector
+        self.signs: np.ndarray | None = diag.copy() if is_sign else None
 
     def apply(self, state: np.ndarray) -> np.ndarray:
+        if self.signs is not None:
+            return _as_blas_sum(self.signs * state)
         return self.matrix_value @ state
 
 
@@ -230,32 +274,32 @@ class CircuitSpec:
         states = np.empty((n_ops + 1, self.dim), dtype=complex)
         states[0] = self.initial_state
         k = 0
-        param_positions: list[tuple[int, int]] = []   # (op index, param index)
         for i, op in enumerate(self.ops):
             if isinstance(op, ParamSlot):
                 states[i + 1] = op.apply(theta[k], states[i])
-                param_positions.append((i, k))
                 k += 1
             else:
                 states[i + 1] = op.apply(states[i])
 
-        # backward pass: suffix unitary strictly after each op
-        suffixes: list[np.ndarray | None] = [None] * n_ops
-        acc = np.eye(self.dim, dtype=complex)
-        k = self.num_params
+        # backward pass: acc is the product of the ops after op i, None while
+        # that is the identity; a slot's column is taken before acc absorbs it
+        partials = np.empty((self.dim, self.num_params), dtype=complex)
+        acc = None
         for i in range(n_ops - 1, -1, -1):
-            suffixes[i] = acc
             op = self.ops[i]
             if isinstance(op, ParamSlot):
                 k -= 1
-                acc = acc @ op.matrix(theta[k])
+                col = op.apply_generator(states[i + 1])
+                partials[:, k] = _as_blas_sum(col) if acc is None else acc @ col
+                if k == 0:
+                    break           # the ops before the first slot enter no column
+                m = op.matrix(theta[k])
+            elif acc is not None and op.signs is not None:
+                acc = _as_blas_sum(acc * op.signs)
+                continue
             else:
-                acc = acc @ op.matrix()
-
-        partials = np.empty((self.dim, self.num_params), dtype=complex)
-        for i, k in param_positions:
-            slot = self.ops[i]
-            partials[:, k] = suffixes[i] @ slot.apply_generator(states[i + 1])
+                m = op.matrix_value
+            acc = _as_blas_sum(m) if acc is None else acc @ m
         return TangentFrame.build(states[n_ops], partials)
 
 
@@ -379,6 +423,8 @@ def circuit_from_json(data: dict) -> CircuitSpec:
     n = int(data["n_qubits"])
     ops: list[ParamSlot | FixedGate] = []
     for slot in data["slots"]:
+        if not isinstance(slot, dict):
+            raise ValueError(f"slot must be an object, got {slot!r}")
         kind = slot.get("kind")
         if kind == "param":
             if "pauli" in slot:

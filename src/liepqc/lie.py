@@ -98,11 +98,17 @@ class TruncationReport:
 
 
 def _project_residual(x: PauliSum, basis: list[PauliSum]) -> PauliSum:
-    """Two-pass projection of x off the span of an orthonormal basis."""
+    """Two-pass projection of x off the span of an orthonormal basis.
+
+    An element with zero overlap is skipped: subtracting ``0 * b``, the empty
+    sum, would leave ``r`` as it is.
+    """
     r = x
     for _ in range(2):
         for b in basis:
-            r = r - b.hs_inner(r) * b
+            overlap = b.hs_inner(r)
+            if overlap != 0:
+                r = r - overlap * b
     return r.prune()
 
 

@@ -309,11 +309,14 @@ def run_sweep(
     """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
 
     The pool maps over qubit counts, so workers beyond their number idle.
+    It takes the largest, slowest count first, so that count does not start
+    last; outcomes are sorted afterwards either way.
     """
     tasks = [(config, n) for n in config.qubit_range]
     if config.workers > 1:
+        largest_first = sorted(tasks, key=lambda t: t[1], reverse=True)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_n = list(pool.map(_qubit_count_task, tasks))
+            per_n = list(pool.map(_qubit_count_task, largest_first))
     else:
         per_n = [_qubit_count_task(t) for t in tasks]
 

@@ -105,8 +105,12 @@ def _observable_loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """:func:`loss_and_gradient` for an already resolved dense observable."""
     frame = circuit.tangent_frame(theta)
-    value = float(np.real(frame.state.conj() @ (obs @ frame.state)))
-    return value, _frame_gradient(frame, obs)
+    return _expectation(frame.state, obs), _frame_gradient(frame, obs)
+
+
+def _expectation(state: np.ndarray, obs: np.ndarray) -> float:
+    """<state| O |state> for a Hermitian dense observable."""
+    return float(np.real(state.conj() @ (obs @ state)))
 
 
 def _frame_gradient(frame, obs: np.ndarray) -> np.ndarray:
@@ -339,5 +343,5 @@ def gradient_descent(
         value, grad = _observable_loss_and_gradient(circuit, theta, obs)
         losses[k] = value
         theta = theta - rate * grad
-    losses[steps], _ = _observable_loss_and_gradient(circuit, theta, obs)
+    losses[steps] = _expectation(circuit.evolve(theta), obs)
     return theta, losses

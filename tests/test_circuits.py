@@ -8,6 +8,7 @@ from liepqc.circuits import (
     CircuitSpec,
     FixedGate,
     ParamSlot,
+    TangentFrame,
     build_ansatz,
     check_nondegeneracy,
     circuit_from_json,
@@ -147,6 +148,139 @@ def test_partials_with_interleaved_fixed_gates():
         tm[k] -= h
         fd = (c.evolve(tp) - c.evolve(tm)) / (2 * h)
         assert np.linalg.norm(fd - frame.partials[:, k]) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# frame against the dense suffix-product oracle
+# ---------------------------------------------------------------------------
+
+
+def suffix_product_frame(c, theta):
+    """The frame as a dense suffix-unitary pass: every op a BLAS product.
+
+    A single-string slot applies its dense Pauli matrix ``p`` as
+    ``cos * I - i sin * p`` (the matrix) or ``p @ state``; other slots and
+    fixed gates use their own dense arithmetic.
+    """
+    def string_form(op):
+        if not isinstance(op, ParamSlot) or not isinstance(op.generator, PauliSum):
+            return None
+        single = op.generator.single_string()
+        if single is None or single.coefficient.imag != 0.0:
+            return None
+        return float(single.coefficient.real), PauliString(c.n_qubits, single.letters).dense()
+
+    thetas, k = [], 0
+    for op in c.ops:
+        thetas.append(theta[k] if isinstance(op, ParamSlot) else None)
+        k += isinstance(op, ParamSlot)
+    states = [c.initial_state]
+    for op, t in zip(c.ops, thetas):
+        form = string_form(op)
+        if form is not None:
+            coeff, p = form
+            states.append(np.cos(coeff * t) * states[-1] - 1j * np.sin(coeff * t) * (p @ states[-1]))
+        elif isinstance(op, ParamSlot):
+            states.append(op.apply(t, states[-1]))
+        else:
+            states.append(op.matrix_value @ states[-1])
+    suffixes = [None] * len(c.ops)
+    acc = np.eye(c.dim, dtype=complex)
+    for i in range(len(c.ops) - 1, -1, -1):
+        suffixes[i] = acc
+        op, t, form = c.ops[i], thetas[i], string_form(c.ops[i])
+        if form is not None:
+            coeff, p = form
+            acc = acc @ (np.cos(coeff * t) * np.eye(c.dim) - 1j * np.sin(coeff * t) * p)
+        elif isinstance(op, ParamSlot):
+            acc = acc @ op.matrix(t)
+        else:
+            acc = acc @ op.matrix_value
+    partials = np.empty((c.dim, c.num_params), dtype=complex)
+    k = 0
+    for i, op in enumerate(c.ops):
+        if isinstance(op, ParamSlot):
+            form = string_form(op)
+            if form is not None:
+                gen_col = -1j * form[0] * (form[1] @ states[i + 1])
+            else:
+                gen_col = op.apply_generator(states[i + 1])
+            partials[:, k] = suffixes[i] @ gen_col
+            k += 1
+    return TangentFrame.build(states[-1], partials)
+
+
+def frame_models():
+    """full_hea at n = 2..6, depths 1 and 2, with its two truncated models."""
+    for n in range(2, 7):
+        for depth in (1, 2):
+            base = build_ansatz("full_hea", n, depth)
+            yield base
+            yield apply_lie_trunc(base, lie_closure(base.skew_generators()))[0]
+            yield apply_random_trunc(base, keep=n, seed=depth)[0]
+
+
+def test_frame_bytes_match_suffix_product_oracle():
+    rng = np.random.default_rng(21)
+    for c in frame_models():
+        for theta in (rng.uniform(-np.pi, np.pi, c.num_params), np.zeros(c.num_params)):
+            got, want = c.tangent_frame(theta), suffix_product_frame(c, theta)
+            for field in ("state", "partials", "projected"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (
+                    c.family, c.n_qubits, c.depth, field
+                )
+            assert c.evolve(theta).tobytes() == got.state.tobytes()
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_frame_dense_paths_match_suffix_product_oracle():
+    # dense-generator slots, multi-string sums and non-diagonal fixed gates
+    rng = np.random.default_rng(22)
+    n = 3
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense_gen = (a + a.conj().T) / 4
+    multi = PauliSum(n, {"XYI": 0.7, "IZZ": -0.4, "YII": 0.2})
+    for last in (slot(n, "IXI"), FixedGate(random_unitary(rng, 8), "u"),
+                 FixedGate(cz_ring_matrix(n), "cz")):
+        ops = [
+            slot(n, "YII"), ParamSlot(dense_gen), FixedGate(cz_ring_matrix(n), "cz"),
+            ParamSlot(multi), FixedGate(random_unitary(rng, 8), "u"), slot(n, "ZZI", 0.5),
+            last,
+        ]
+        c = CircuitSpec(n, ops)
+        theta = rng.uniform(-np.pi, np.pi, c.num_params)
+        got, want = c.tangent_frame(theta), suffix_product_frame(c, theta)
+        for field in ("state", "partials", "projected"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), atol=1e-12)
+
+
+def test_string_slot_gather_bytes_match_dense_product():
+    # basis states put exact zeros under every phase, where signs of zero differ
+    for n in (1, 2):
+        dim = 2 ** n
+        states = [np.eye(dim, dtype=complex)[0], -np.eye(dim, dtype=complex)[-1],
+                  1j * np.eye(dim, dtype=complex)[1]]
+        for letters in all_strings(n):
+            s = slot(n, letters, 0.5)
+            p = PauliString(n, letters).dense()
+            for psi in states:
+                assert s.apply_generator(psi).tobytes() == (-1j * 0.5 * (p @ psi)).tobytes()
+                for t in (0.7, -2.5):
+                    want = np.cos(0.5 * t) * psi - 1j * np.sin(0.5 * t) * (p @ psi)
+                    assert s.apply(t, psi).tobytes() == want.tobytes()
+
+
+def test_sign_gate_detection():
+    for n in (2, 3, 5):
+        gate = FixedGate(cz_ring_matrix(n), "cz")
+        assert gate.signs is not None
+        assert np.array_equal(gate.signs, np.diag(cz_ring_matrix(n)))
+    assert FixedGate(np.diag([1, 1j])).signs is None
+    assert FixedGate(np.array([[0, 1], [1, 0]])).signs is None
 
 
 # ---------------------------------------------------------------------------

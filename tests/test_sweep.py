@@ -383,7 +383,9 @@ def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     malformed.write_text("{not json")
     rejected = tmp_path / "rejected.json"
     rejected.write_text(json.dumps({"kind": "bogus"}))
-    for path in (tmp_path / "missing.json", malformed, rejected):
+    bad_slot = tmp_path / "bad_slot.json"
+    bad_slot.write_text(json.dumps({"n_qubits": 2, "slots": [1]}))
+    for path in (tmp_path / "missing.json", malformed, rejected, bad_slot):
         assert cli_main([command[0], "--circuit", str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}: ")
