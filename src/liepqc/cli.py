@@ -39,11 +39,29 @@ def _load_circuit(path: str):
         return None
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import SweepConfig, load_config, ConfigError
+def _load_config(path: str | None):
+    """The sweep config in a JSON file (the default one without a path), or
+    None after a ``config error:`` line on stderr.
 
+    A missing or unreadable file, malformed JSON and a document that
+    ``config_from_dict`` rejects are config errors (exit 2), not failures.
+    """
+    from .sweep import SweepConfig, load_config
+
+    if path is None:
+        return SweepConfig()
     try:
-        config = load_config(args.config) if args.config else SweepConfig()
+        return load_config(path)
+    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
+        print(f"config error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
+    if config is None:
+        return 2
+    try:
         overrides = {}
         if args.out:
             overrides["out_dir"] = args.out
@@ -54,28 +72,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.methods:
             overrides["methods"] = args.methods.split(",")
         if args.samples is not None:
-            from .geometry import SamplingSpec
-
-            overrides["sampling"] = SamplingSpec(
-                distribution=config.sampling.distribution,
-                n_samples=args.samples,
-                seed=config.sampling.seed,
-                sigma=config.sampling.sigma,
-            )
+            overrides["sampling"] = {**config.sampling.to_json(), "n_samples": args.samples}
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if args.workers is not None:
             overrides["workers"] = args.workers
         if overrides:
-            merged = config.to_json()
-            merged.update({k: v for k, v in overrides.items()
-                           if k not in ("sampling", "loss")})
             from .sweep import config_from_dict
 
-            config = config_from_dict(merged)
-            if "sampling" in overrides:
-                config.sampling = overrides["sampling"]
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+            config = config_from_dict({**config.to_json(), **overrides})
+    except ValueError as exc:  # a ConfigError, or a --qubits entry that is not an int
         log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -141,18 +147,16 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .sweep import SweepConfig, load_config, ConfigError
     from .verify import verify_suite
 
-    try:
-        config = load_config(args.config) if args.config else SweepConfig()
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    config = _load_config(args.config)
+    if config is None:
         return 2
     report = verify_suite(config, include_invariants=not args.acceptance_only)
+    print(f"shared sweep: {report['shared_sweep_s']:.2f}s")
     for chk in report["checks"]:
         status = "PASS" if chk["passed"] else "FAIL"
-        print(f"[{status}] {chk['label']}: {chk['detail']}")
+        print(f"[{status}] {chk['label']} ({chk['seconds']:.2f}s): {chk['detail']}")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.out}")
@@ -165,12 +169,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from .sweep import CSV_HEADER, SweepRecord
 
     path = Path(args.records)
-    rows = path.read_text().strip().splitlines()
     try:
+        rows = path.read_text().strip().splitlines()
         if len(rows) < 2 or rows[0] != CSV_HEADER:
             raise ValueError("expected the records.csv header and at least one row")
         records = [SweepRecord.from_csv_row(line) for line in rows[1:]]
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {path}: {exc}", file=sys.stderr)
         return 2
     spectra = {}

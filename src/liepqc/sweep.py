@@ -91,6 +91,8 @@ class SweepConfig:
             raise ConfigError("lie_dim_budget must be >= 0 (0 = generator span dimension)")
         if not (math.isfinite(self.opt_rate) and self.opt_rate > 0):
             raise ConfigError("opt_rate must be finite and > 0")
+        if self.sampling.n_samples < 2:
+            raise ConfigError("sampling.n_samples must be >= 2 (each cell estimates a variance)")
 
     def to_json(self) -> dict:
         return {
@@ -116,30 +118,37 @@ _LOSS_KEYS = {"kind", "observable", "tfim_params"}
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    """Build a config from a JSON document; unknown keys are errors."""
+    """Build a config from a JSON document; unknown keys and bad values are errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"a config must be a JSON object, not {type(data).__name__}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
-    if "sampling" in kwargs:
-        samp = kwargs["sampling"]
-        bad = set(samp) - _SAMPLING_KEYS
-        if bad:
-            raise ConfigError(f"unknown sampling keys: {sorted(bad)}")
-        kwargs["sampling"] = SamplingSpec(**samp)
-    if "loss" in kwargs:
-        loss = dict(kwargs["loss"])
-        bad = set(loss) - _LOSS_KEYS
-        if bad:
-            raise ConfigError(f"unknown loss keys: {sorted(bad)}")
-        if "tfim_params" in loss:
-            loss["tfim_params"] = tuple(loss["tfim_params"])
-        if "observable" in loss:
-            raise ConfigError("inline observables are not supported in config files")
-        kwargs["loss"] = LossSpec(**loss)
+    for key in ("sampling", "loss"):
+        if key in kwargs and not isinstance(kwargs[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, not {type(kwargs[key]).__name__}")
     try:
+        if "sampling" in kwargs:
+            samp = kwargs["sampling"]
+            bad = set(samp) - _SAMPLING_KEYS
+            if bad:
+                raise ConfigError(f"unknown sampling keys: {sorted(bad)}")
+            kwargs["sampling"] = SamplingSpec(**samp)
+        if "loss" in kwargs:
+            loss = dict(kwargs["loss"])
+            bad = set(loss) - _LOSS_KEYS
+            if bad:
+                raise ConfigError(f"unknown loss keys: {sorted(bad)}")
+            if "tfim_params" in loss:
+                loss["tfim_params"] = tuple(loss["tfim_params"])
+            if "observable" in loss:
+                raise ConfigError("inline observables are not supported in config files")
+            kwargs["loss"] = LossSpec(**loss)
         return SweepConfig(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

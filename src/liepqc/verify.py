@@ -6,6 +6,12 @@ also houses the brute-force closure oracle used to cross-check the
 Gram-Schmidt closure engine: it expands brackets exhaustively with dense
 matrix arithmetic and tracks rank in the real Pauli-coefficient space of the
 skew algebra, an entirely separate code path from the production closure.
+
+``verify_suite`` runs three sweeps of its config.  It runs and times one
+shared sweep before the checks: criterion 3 reads its stored metric spectra,
+criterion 4 its records, and criterion 10 takes it as the first of its three
+runs, adding a serial repeat and a ``workers=2`` run.  Called on its own
+without records, each of these checks runs the sweep itself.
 """
 
 from __future__ import annotations
@@ -17,12 +23,13 @@ import numpy as np
 from . import linalg
 from .circuits import CircuitSpec, ParamSlot, build_ansatz
 from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
-from .lie import apply_lie_trunc, apply_random_trunc, lie_closure, orthonormalize_sums
+from .lie import apply_random_trunc, lie_closure, orthonormalize_sums
 from .pauli import PauliString, PauliSum, all_strings, SINGLE_QUBIT
 from .robustness import trial_batch
 from .sweep import SweepConfig, cell_seed, run_sweep, records_csv_text
 from .trainability import (
     LossSpec,
+    _expectation,
     gradient_descent,
     ground_energy,
     loss_and_gradient,
@@ -177,29 +184,31 @@ def check_random_collapse(config: SweepConfig | None = None) -> dict:
     )
 
 
-def check_span_preservation(config: SweepConfig | None = None) -> dict:
-    """rank(lie_trunc) equals rank(full) at every n, stable across thresholds."""
+def check_span_preservation(records=None, config: SweepConfig | None = None) -> dict:
+    """rank(lie_trunc) equals rank(full) at every n, stable across thresholds.
+
+    Ranks are read from the metric spectra stored in the sweep records of
+    ``config`` (its sampling distribution and sigma included); a missing or
+    failed ``full`` or ``lie_trunc`` cell fails the check.
+    """
     config = config or SweepConfig()
+    if records is None:
+        records, _ = run_sweep(config, write_files=False)
+    spectra = {(r.n, r.method): np.array(r.eigenvalues) for r in records}
+    missing = [
+        (n, method)
+        for n in config.qubit_range
+        for method in ("full", "lie_trunc")
+        if (n, method) not in spectra
+    ]
+    if missing:
+        return _check("span_preservation_rank_match", False, -1.0,
+                      f"missing records: {missing}")
     mismatches = []
     for n in config.qubit_range:
-        base = build_ansatz("full_hea", n, config.depth)
-        lie_model, _, _ = apply_lie_trunc(
-            base,
-            lie_closure(base.skew_generators()),
-            depth_cap=config.lie_depth_cap,
-            dim_budget=config.lie_dim_budget if config.lie_dim_budget > 0 else None,
-        )
-        full_rep = empirical_metric(
-            base, SamplingSpec(n_samples=config.sampling.n_samples,
-                               seed=cell_seed(config.master_seed, n, "full"))
-        )
-        lie_rep = empirical_metric(
-            lie_model, SamplingSpec(n_samples=config.sampling.n_samples,
-                                    seed=cell_seed(config.master_seed, n, "lie_trunc"))
-        )
         for tol in (1e-6, 1e-8, 1e-10):
-            rf = metric_rank(full_rep.metric, tol)
-            rl = metric_rank(lie_rep.metric, tol)
+            rf = metric_rank(None, tol, _eigenvalues=spectra[(n, "full")])
+            rl = metric_rank(None, tol, _eigenvalues=spectra[(n, "lie_trunc")])
             if rf != rl:
                 mismatches.append((n, tol, rf, rl))
     return _check(
@@ -244,14 +253,15 @@ def check_gradient_exactness(n_cases: int = 50, seed: int = 515) -> dict:
         loss = LossSpec() if k % 2 == 0 else LossSpec(kind="vqe_tfim")
         theta = rng.uniform(0, 2 * np.pi, circuit.num_params)
         _, grad = loss_and_gradient(circuit, theta, loss)
+        obs = loss.observable_dense(n)
         fd = np.empty_like(grad)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
             fd[i] = (
-                loss_and_gradient(circuit, tp, loss)[0]
-                - loss_and_gradient(circuit, tm, loss)[0]
+                _expectation(circuit.evolve(tp), obs)
+                - _expectation(circuit.evolve(tm), obs)
             ) / (2 * h)
         # floor the scale so stationary points compare absolutely, not 0/0
         scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-2)
@@ -345,10 +355,11 @@ def check_vqe_sanity(config: SweepConfig | None = None, seed: int = 42) -> dict:
     for n in range(2, 7):
         circuit = build_ansatz("full_hea", n, config.depth)
         e0 = ground_energy(loss, n)
+        obs = loss.observable_dense(n)
         sampling = SamplingSpec(n_samples=20, seed=seed + n)
         for s in range(sampling.n_samples):
             theta = sampling.draw(circuit.num_params, s)
-            value, _ = loss_and_gradient(circuit, theta, loss)
+            value = _expectation(circuit.evolve(theta), obs)
             worst_gap = min(worst_gap, value - e0)
             if value < e0 - 1e-9:
                 bound_ok = False
@@ -369,21 +380,31 @@ def check_vqe_sanity(config: SweepConfig | None = None, seed: int = 42) -> dict:
     )
 
 
-def check_determinism_and_budget(config: SweepConfig | None = None) -> dict:
-    """Identical CSV across repeat runs and worker counts, within time budget."""
+def _timed_sweep(config: SweepConfig) -> tuple[list, list[dict], float]:
+    """(records, errors, seconds) of one sweep of ``config``, no files written."""
+    start = time.perf_counter()
+    records, errors = run_sweep(config, write_files=False)
+    return records, errors, time.perf_counter() - start
+
+
+def check_determinism_and_budget(
+    config: SweepConfig | None = None,
+    first_run: tuple[list, list[dict], float] | None = None,
+) -> dict:
+    """Identical CSV across repeat runs and worker counts, within time budget.
+
+    ``first_run`` is a sweep of ``config`` already made, as (records, errors,
+    seconds); it counts as the first of the three runs, its errors and its
+    seconds included.  Without it the check runs that sweep itself.
+    """
     import dataclasses
 
     config = config or SweepConfig()
-    start = time.time()
-    rec1, err1 = run_sweep(config, write_files=False)
-    csv1 = records_csv_text(rec1)
-    rec2, err2 = run_sweep(config, write_files=False)
-    csv2 = records_csv_text(rec2)
-    parallel_cfg = dataclasses.replace(config, workers=2)
-    rec3, err3 = run_sweep(parallel_cfg, write_files=False)
-    csv3 = records_csv_text(rec3)
-    elapsed = time.time() - start
-    identical = csv1 == csv2 == csv3
+    rec1, err1, elapsed = first_run if first_run is not None else _timed_sweep(config)
+    rec2, err2, seconds2 = _timed_sweep(config)
+    rec3, err3, seconds3 = _timed_sweep(dataclasses.replace(config, workers=2))
+    elapsed += seconds2 + seconds3
+    identical = records_csv_text(rec1) == records_csv_text(rec2) == records_csv_text(rec3)
     n_errors = len(err1) + len(err2) + len(err3)
     within_budget = elapsed < 600.0
     return _check(
@@ -523,25 +544,34 @@ INVARIANT_CHECKS = [
 
 
 def verify_suite(config: SweepConfig | None = None, include_invariants: bool = True) -> dict:
-    """Run every acceptance check (and invariant spot checks); returns a report."""
+    """Run every acceptance check (and invariant spot checks); returns a report.
+
+    One sweep of ``config`` is run and timed first and shared by criteria 3,
+    4 and 10.  Each check dict gains its ``label`` and its ``seconds``; the
+    report gives the shared sweep's time as ``shared_sweep_s``.
+    """
     config = config or SweepConfig()
-    checks = []
-    shared_records = None
-    for label, fn in ACCEPTANCE_CHECKS:
-        if fn is check_scaling_signature:
-            if shared_records is None:
-                shared_records, _ = run_sweep(config, write_files=False)
-            result = fn(records=shared_records)
-        elif fn in (check_random_collapse, check_span_preservation,
-                    check_vqe_sanity, check_determinism_and_budget):
-            result = fn(config=config)
-        else:
-            result = fn()
-        result["label"] = label
-        checks.append(result)
+    shared = _timed_sweep(config)
+    records = shared[0]
+    kwargs = {
+        check_random_collapse: {"config": config},
+        check_span_preservation: {"records": records, "config": config},
+        check_scaling_signature: {"records": records},
+        check_vqe_sanity: {"config": config},
+        check_determinism_and_budget: {"config": config, "first_run": shared},
+    }
+    runs = list(ACCEPTANCE_CHECKS)
     if include_invariants:
-        for fn in INVARIANT_CHECKS:
-            result = fn()
-            result["label"] = result["name"]
-            checks.append(result)
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+        runs += [(None, fn) for fn in INVARIANT_CHECKS]
+    checks = []
+    for label, fn in runs:
+        start = time.perf_counter()
+        result = fn(**kwargs.get(fn, {}))
+        result["seconds"] = time.perf_counter() - start
+        result["label"] = label or result["name"]
+        checks.append(result)
+    return {
+        "passed": all(c["passed"] for c in checks),
+        "shared_sweep_s": shared[2],
+        "checks": checks,
+    }

@@ -5,6 +5,7 @@ doubles as a machine-readable report (`pytest -v -s tests/test_acceptance.py`).
 The same checks back the `liepqc verify` command.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -33,8 +34,16 @@ def report(number: int, result: dict) -> None:
 
 
 @pytest.fixture(scope="module")
-def default_records():
+def default_run():
+    """The default sweep as (records, errors, seconds), the shape verify shares."""
+    start = time.perf_counter()
     records, errors = run_sweep(SweepConfig(), write_files=False)
+    return records, errors, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def default_records(default_run):
+    records, errors, _ = default_run
     assert not errors
     return records
 
@@ -68,10 +77,26 @@ def test_criterion_2_random_trunc_collapse():
     assert elapsed < 120.0, f"collapse check took {elapsed:.1f}s (budget 2min)"
 
 
-def test_criterion_3_span_preservation():
-    result = check_span_preservation()
+def test_criterion_3_span_preservation(default_records):
+    result = check_span_preservation(records=default_records)
     report(3, result)
     assert result["passed"]
+
+
+def test_span_preservation_fails_on_lost_eigenvalue_or_missing_cell(default_records):
+    i = next(i for i, r in enumerate(default_records) if (r.n, r.method) == (6, "lie_trunc"))
+    lie = default_records[i]
+    eigenvalues = list(lie.eigenvalues)
+    eigenvalues[lie.rank - 1] = 0.0   # the smallest resolved eigenvalue is lost
+    lost = list(default_records)
+    lost[i] = dataclasses.replace(lie, eigenvalues=eigenvalues)
+    result = check_span_preservation(records=lost)
+    assert not result["passed"]
+    assert "mismatches: [(6, " in result["detail"]
+
+    result = check_span_preservation(records=default_records[:i] + default_records[i + 1:])
+    assert not result["passed"]
+    assert result["detail"] == "missing records: [(6, 'lie_trunc')]"
 
 
 def test_criterion_4_scaling_law_signature(default_records):
@@ -113,7 +138,7 @@ def test_criterion_9_vqe_sanity():
     assert result["passed"]
 
 
-def test_criterion_10_determinism_and_budget():
-    result = check_determinism_and_budget()
+def test_criterion_10_determinism_and_budget(default_run):
+    result = check_determinism_and_budget(first_run=default_run)
     report(10, result)
     assert result["passed"]

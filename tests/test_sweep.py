@@ -342,12 +342,44 @@ def test_cli_plot_rejects_foreign_csv(tmp_path):
     for text in ("a,b\n1,2\n", CSV_HEADER + "\n", CSV_HEADER + "\n2,full,14\n"):
         foreign.write_text(text)
         assert cli_main(["plot", "--records", str(foreign)]) == 2
+    for unreadable in (tmp_path / "missing.csv", tmp_path):
+        assert cli_main(["plot", "--records", str(unreadable)]) == 2
 
 
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_key": 1}))
     assert cli_main(["sweep", "--config", str(bad)]) == 2
+    for samples in ("0", "1"):
+        assert cli_main(["sweep", "--qubits", "2", "--samples", samples]) == 2
+
+
+# None stands for a directory in place of the file
+CONFIG_ERRORS = {
+    "directory": None,
+    "not_an_object": 5,
+    "list": [1],
+    "sampling_not_an_object": {"sampling": 5},
+    "loss_not_an_object": {"loss": 5},
+    "sampling_rejected": {"sampling": {"n_samples": 0}},
+    "single_sample": {"sampling": {"n_samples": 1}},
+    "loss_rejected": {"loss": {"kind": "nope"}},
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_cli_config_errors_exit_2(tmp_path, capsys, command, case):
+    path = tmp_path
+    if CONFIG_ERRORS[case] is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(CONFIG_ERRORS[case]))
+    assert cli_main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {path}: ")
+    assert captured.err.count("\n") == 1
+    assert "unknown config keys" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_cell_failure_exit_code(tmp_path, monkeypatch):

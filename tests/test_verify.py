@@ -1,13 +1,16 @@
 """Verification machinery: oracle sanity, mutation sensitivity, report shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import liepqc.verify as verify_mod
 from liepqc.circuits import CircuitSpec, ParamSlot, TangentFrame
 from liepqc.geometry import SamplingSpec, fs_metric_at
 from liepqc.pauli import PauliSum, PauliString
-from liepqc.sweep import SweepConfig
-from liepqc.verify import brute_force_closure_dim, verify_suite
+from liepqc.sweep import SweepConfig, run_sweep
+from liepqc.verify import brute_force_closure_dim, check_determinism_and_budget, verify_suite
 from liepqc.lie import lie_closure
 
 
@@ -64,3 +67,38 @@ def test_verify_suite_reduced_config():
         assert isinstance(chk["margin"], float)
         assert chk["detail"]
     assert report["passed"] is True
+
+
+def test_determinism_check_fails_when_first_run_differs():
+    cfg = SweepConfig(qubit_range=[2, 3], methods=["full", "lie_trunc"], opt_steps=3)
+    cfg.sampling = SamplingSpec(n_samples=5, seed=0)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert check_determinism_and_budget(cfg, first_run=(records, errors, 0.0))["passed"]
+
+    nudged = list(records)
+    nudged[1] = dataclasses.replace(records[1], d_eff=float(np.nextafter(records[1].d_eff, 3.0)))
+    result = check_determinism_and_budget(cfg, first_run=(nudged, errors, 0.0))
+    assert not result["passed"]
+    assert result["detail"].startswith("identical=False, errors=0")
+
+    failed = [{"n": 2, "method": "full", "error": "RuntimeError: injected"}]
+    result = check_determinism_and_budget(cfg, first_run=(records, failed, 0.0))
+    assert not result["passed"]
+    assert result["detail"].startswith("identical=True, errors=1")
+
+
+def test_verify_suite_runs_three_default_sweeps(monkeypatch):
+    calls = []
+
+    def counting_run_sweep(config, write_files=True):
+        calls.append(config.workers)
+        return run_sweep(config, write_files=write_files)
+
+    monkeypatch.setattr(verify_mod, "run_sweep", counting_run_sweep)
+    report = verify_suite(SweepConfig())
+    assert calls == [1, 1, 2]   # shared, serial repeat, workers=2
+    assert report["passed"] is True
+    assert 0.0 < report["shared_sweep_s"]
+    for chk in report["checks"]:
+        assert set(chk) == {"name", "passed", "margin", "detail", "label", "seconds"}
+        assert chk["seconds"] >= 0.0
