@@ -154,6 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     report = verify_suite(config, include_invariants=not args.acceptance_only)
     print(f"shared sweep: {report['shared_sweep_s']:.2f}s")
+    print(f"verify wall: {report['wall_s']:.2f}s")
     for chk in report["checks"]:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {chk['label']} ({chk['seconds']:.2f}s): {chk['detail']}")

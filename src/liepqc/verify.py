@@ -7,16 +7,19 @@ Gram-Schmidt closure engine: it expands brackets exhaustively with dense
 matrix arithmetic and tracks rank in the real Pauli-coefficient space of the
 skew algebra, an entirely separate code path from the production closure.
 
-``verify_suite`` runs three sweeps of its config.  It runs and times one
-shared sweep before the checks: criterion 3 reads its stored metric spectra,
-criterion 4 its records, and criterion 10 takes it as the first of its three
-runs, adding a serial repeat and a ``workers=2`` run.  Called on its own
-without records, each of these checks runs the sweep itself.
+``verify_suite`` runs three sweeps of its config, two of them side by side
+with the checks that need no sweep (see its docstring).  Criteria 2, 3 and 4
+read the shared sweep's records and criterion 10 compares the sweeps.
+Called on their own without records, criteria 3, 4 and 10 run the sweeps
+themselves and criterion 2 rebuilds its cell.
 """
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -165,22 +168,34 @@ def check_span_rank_bound(n_circuits: int = 100, seed: int = 2024) -> dict:
     )
 
 
-def check_random_collapse(config: SweepConfig | None = None) -> dict:
-    """Keep-2 random truncation at n=6 collapses to rank 2 with d_eff near 2."""
+def check_random_collapse(config: SweepConfig | None = None, records=None) -> dict:
+    """Keep-2 random truncation at n=6 collapses to rank 2 with d_eff near 2.
+
+    Rank and d_eff are read from the ``(6, "random_trunc")`` record of
+    ``config``'s sweep when ``records`` holds one; otherwise the cell's model
+    is rebuilt and its metric averaged over the config's sample count.
+    """
     config = config or SweepConfig()
-    seed = cell_seed(config.master_seed, 6, "random_trunc")
-    base = build_ansatz("full_hea", 6, config.depth)
-    model, _, _ = apply_random_trunc(base, keep=config.random_keep, seed=seed)
-    sampling = SamplingSpec(n_samples=config.sampling.n_samples, seed=seed)
-    rep = empirical_metric(model, sampling)
-    rank_ok = rep.rank == 2
-    deff_ok = 1.5 <= rep.d_eff <= 2.0 + 1e-9
-    margin = min(rep.d_eff - 1.5, 2.0 + 1e-9 - rep.d_eff) if rank_ok else -1.0
+    cell = next(
+        (r for r in records or () if (r.n, r.method) == (6, "random_trunc")), None
+    )
+    if cell is not None:
+        rank, d_eff = cell.rank, cell.d_eff
+    else:
+        seed = cell_seed(config.master_seed, 6, "random_trunc")
+        base = build_ansatz("full_hea", 6, config.depth)
+        model, _, _ = apply_random_trunc(base, keep=config.random_keep, seed=seed)
+        sampling = SamplingSpec(n_samples=config.sampling.n_samples, seed=seed)
+        rep = empirical_metric(model, sampling)
+        rank, d_eff = rep.rank, rep.d_eff
+    rank_ok = rank == 2
+    deff_ok = 1.5 <= d_eff <= 2.0 + 1e-9
+    margin = min(d_eff - 1.5, 2.0 + 1e-9 - d_eff) if rank_ok else -1.0
     return _check(
         "random_trunc_collapse",
         rank_ok and deff_ok,
         margin,
-        f"rank={rep.rank} (want 2), d_eff={rep.d_eff:.4f} (want [1.5, 2.0])",
+        f"rank={rank} (want 2), d_eff={d_eff:.4f} (want [1.5, 2.0])",
     )
 
 
@@ -390,18 +405,18 @@ def _timed_sweep(config: SweepConfig) -> tuple[list, list[dict], float]:
 def check_determinism_and_budget(
     config: SweepConfig | None = None,
     first_run: tuple[list, list[dict], float] | None = None,
+    second_run: tuple[list, list[dict], float] | None = None,
 ) -> dict:
     """Identical CSV across repeat runs and worker counts, within time budget.
 
-    ``first_run`` is a sweep of ``config`` already made, as (records, errors,
-    seconds); it counts as the first of the three runs, its errors and its
-    seconds included.  Without it the check runs that sweep itself.
+    ``first_run`` and ``second_run`` are sweeps of ``config`` already made,
+    as (records, errors, seconds); they count as the first two of the three
+    runs, their errors and their seconds included.  The check runs each one
+    it is not given, then a ``workers=2`` sweep.
     """
-    import dataclasses
-
     config = config or SweepConfig()
     rec1, err1, elapsed = first_run if first_run is not None else _timed_sweep(config)
-    rec2, err2, seconds2 = _timed_sweep(config)
+    rec2, err2, seconds2 = second_run if second_run is not None else _timed_sweep(config)
     rec3, err3, seconds3 = _timed_sweep(dataclasses.replace(config, workers=2))
     elapsed += seconds2 + seconds3
     identical = records_csv_text(rec1) == records_csv_text(rec2) == records_csv_text(rec3)
@@ -543,35 +558,104 @@ INVARIANT_CHECKS = [
 ]
 
 
+# Setters of a loaded BLAS's thread count: OpenBLAS under its plain, 64-bit
+# integer and scipy-openblas (numpy's wheels) names, and MKL.
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "MKL_Set_Num_Threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run the BLAS loaded in this process on one thread.
+
+    The suite's two pool processes already fill two cores.  A BLAS that
+    also threads each product spins its helper threads against the other
+    process's work; on a two-core host, with BLAS threads left at their
+    default, that made the suite two to three times slower than the serial
+    one.  Libraries are found through ``/proc/self/maps``; where it does not
+    exist this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return
+    for path in {f[5].strip() for f in fields if len(f) == 6}:
+        if "blas" not in path.lower() and "mkl_rt" not in path:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _timed_check(fn, kwargs: dict) -> dict:
+    """``fn(**kwargs)`` with its ``seconds``, timed in the process that runs it."""
+    start = time.perf_counter()
+    result = fn(**kwargs)
+    result["seconds"] = time.perf_counter() - start
+    return result
+
+
 def verify_suite(config: SweepConfig | None = None, include_invariants: bool = True) -> dict:
     """Run every acceptance check (and invariant spot checks); returns a report.
 
-    One sweep of ``config`` is run and timed first and shared by criteria 3,
-    4 and 10.  Each check dict gains its ``label`` and its ``seconds``; the
-    report gives the shared sweep's time as ``shared_sweep_s``.
+    Phase 1 runs on a two-process pool: two serial sweeps of ``config``
+    (the shared sweep and criterion 10's repeat) go first, as the longest
+    tasks, then every check that needs no sweep.  Phase 2 runs here after
+    the pool has closed: criteria 2, 3 and 4 read the shared sweep's records
+    and criterion 10 compares both serial sweeps with its ``workers=2`` run,
+    whose own pool is therefore never nested in another.  A check that
+    raises raises out of this function.
+
+    Each check dict gains its ``label`` and its ``seconds``, measured in the
+    process that ran it; checks keep their list order.  The report gives the
+    shared sweep's time as ``shared_sweep_s`` and the suite's as ``wall_s``.
     """
+    start = time.perf_counter()
     config = config or SweepConfig()
-    shared = _timed_sweep(config)
-    records = shared[0]
-    kwargs = {
-        check_random_collapse: {"config": config},
-        check_span_preservation: {"records": records, "config": config},
-        check_scaling_signature: {"records": records},
-        check_vqe_sanity: {"config": config},
-        check_determinism_and_budget: {"config": config, "first_run": shared},
-    }
+    serial = dataclasses.replace(config, workers=1)
     runs = list(ACCEPTANCE_CHECKS)
     if include_invariants:
         runs += [(None, fn) for fn in INVARIANT_CHECKS]
+    after_sweep = {
+        check_random_collapse,
+        check_span_preservation,
+        check_scaling_signature,
+        check_determinism_and_budget,
+    }
+    with ProcessPoolExecutor(max_workers=2, initializer=_one_blas_thread) as pool:
+        sweeps = [pool.submit(_timed_sweep, serial) for _ in range(2)]
+        pooled = {
+            i: pool.submit(_timed_check, fn, {"config": config} if fn is check_vqe_sanity else {})
+            for i, (_, fn) in enumerate(runs) if fn not in after_sweep
+        }
+        shared, repeat = (f.result() for f in sweeps)
+        results = {i: f.result() for i, f in pooled.items()}
+    records = shared[0]
+    kwargs = {
+        check_random_collapse: {"config": config, "records": records},
+        check_span_preservation: {"records": records, "config": config},
+        check_scaling_signature: {"records": records},
+        check_determinism_and_budget: {"config": config, "first_run": shared, "second_run": repeat},
+    }
     checks = []
-    for label, fn in runs:
-        start = time.perf_counter()
-        result = fn(**kwargs.get(fn, {}))
-        result["seconds"] = time.perf_counter() - start
+    for i, (label, fn) in enumerate(runs):
+        result = results[i] if i in results else _timed_check(fn, kwargs[fn])
         result["label"] = label or result["name"]
         checks.append(result)
     return {
         "passed": all(c["passed"] for c in checks),
         "shared_sweep_s": shared[2],
+        "wall_s": time.perf_counter() - start,
         "checks": checks,
     }

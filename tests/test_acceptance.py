@@ -77,6 +77,23 @@ def test_criterion_2_random_trunc_collapse():
     assert elapsed < 120.0, f"collapse check took {elapsed:.1f}s (budget 2min)"
 
 
+def test_random_collapse_reads_the_swept_cell(default_records):
+    # reading the (6, "random_trunc") record reports what rebuilding the cell reports
+    rebuilt = check_random_collapse()
+    read = check_random_collapse(records=default_records)
+    assert read == rebuilt
+
+    i = next(i for i, r in enumerate(default_records) if (r.n, r.method) == (6, "random_trunc"))
+    for doctored in (dict(rank=3), dict(d_eff=2.5)):
+        records = list(default_records)
+        records[i] = dataclasses.replace(default_records[i], **doctored)
+        assert not check_random_collapse(records=records)["passed"]
+
+    # n = 6 not swept: the check rebuilds the cell
+    small = SweepConfig(qubit_range=[2, 3])
+    assert check_random_collapse(small, [r for r in default_records if r.n <= 3]) == rebuilt
+
+
 def test_criterion_3_span_preservation(default_records):
     result = check_span_preservation(records=default_records)
     report(3, result)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepqc.circuits import ParamSlot
 from liepqc.pauli import (
@@ -47,6 +48,50 @@ def test_dense_faithful_random_pairs():
         prod = pauli_product(a, b)
         err = np.max(np.abs(prod.dense() - a.dense() @ b.dense()))
         assert err <= 1e-12 * max(1.0, abs(a.coefficient) * abs(b.coefficient))
+
+
+def _words(n: int):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+@st.composite
+def _string_pairs(draw):
+    n = draw(st.integers(1, 3))
+    coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    return tuple(PauliString(n, draw(_words(n)), draw(coefficients)) for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_string_pairs())
+def test_product_matches_dense_property(pair):
+    a, b = pair
+    err = np.max(np.abs(pauli_product(a, b).dense() - a.dense() @ b.dense()))
+    assert err <= 1e-12 * max(1.0, abs(a.coefficient) * abs(b.coefficient))
+
+
+@st.composite
+def _skew_triples(draw):
+    n = draw(st.integers(1, 3))
+    sums = []
+    for _ in range(3):
+        words = draw(st.lists(_words(n), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(words), max_size=len(words)))
+        sums.append(PauliSum(n, {w: 1j * c for w, c in zip(words, coeffs)}))
+    return tuple(sums)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skew_triples())
+def test_jacobi_identity_property(triple):
+    a, b, c = triple
+    resid = (
+        a.commutator(b).commutator(c)
+        + b.commutator(c).commutator(a)
+        + c.commutator(a).commutator(b)
+    )
+    l1 = [sum(abs(v) for v in s.terms.values()) for s in triple]
+    worst = max((abs(v) for v in resid.terms.values()), default=0.0)
+    assert worst <= 1e-12 * (1.0 + l1[0] * l1[1] * l1[2])
 
 
 def test_product_associative():
