@@ -22,9 +22,8 @@ from .trainability import (
     svd_chain_rule,
     gradient_variance,
     fit_scaling,
-    jacobian_norm_estimate,
 )
-from .robustness import PerturbationTrial, perturbation_bound_check, perturbed_sweep
+from .robustness import PerturbationTrial, perturbation_bound_check
 
 __all__ = [
     "PauliString",
@@ -54,8 +53,6 @@ __all__ = [
     "svd_chain_rule",
     "gradient_variance",
     "fit_scaling",
-    "jacobian_norm_estimate",
     "PerturbationTrial",
     "perturbation_bound_check",
-    "perturbed_sweep",
 ]

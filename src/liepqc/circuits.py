@@ -37,7 +37,6 @@ from .pauli import PauliSum
 from .linalg import hermitian_eig, is_hermitian
 
 NORM_TOL = 1e-10
-NONDEGENERACY_TOL = 1e-10
 
 
 @cache
@@ -233,9 +232,6 @@ class CircuitSpec:
     def num_params(self) -> int:
         return len(self.param_slots)
 
-    def generators(self) -> list[PauliSum | np.ndarray]:
-        return [slot.generator for slot in self.param_slots]
-
     def skew_generators(self) -> list[PauliSum]:
         """i*H_k for all slots, as exact Pauli sums (dense slots are expanded)."""
         out = []
@@ -301,31 +297,6 @@ class CircuitSpec:
                 m = op.matrix_value
             acc = _as_blas_sum(m) if acc is None else acc @ m
         return TangentFrame.build(states[n_ops], partials)
-
-
-# ---------------------------------------------------------------------------
-# Lower-bound hypotheses
-# ---------------------------------------------------------------------------
-
-
-def check_nondegeneracy(circuit: CircuitSpec) -> tuple[bool, int | None]:
-    """First slot whose generator moves the initial state off itself.
-
-    Returns (True, k) for the first generator with a nonzero component of
-    H_k|psi0> orthogonal to |psi0>, else (False, None).
-    """
-    psi0 = circuit.initial_state
-    for k, slot in enumerate(circuit.param_slots):
-        moved = slot.dense_generator() @ psi0
-        residual = moved - (psi0.conj() @ moved) * psi0
-        if np.linalg.norm(residual) > NONDEGENERACY_TOL:
-            return True, k
-    return False, None
-
-
-def polynomial_depth_ok(circuit: CircuitSpec, coeff: float = 4.0, power: int = 2) -> bool:
-    """Check the parameter count stays within coeff * n^power."""
-    return circuit.num_params <= coeff * circuit.n_qubits ** power
 
 
 # ---------------------------------------------------------------------------

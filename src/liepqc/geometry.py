@@ -26,8 +26,8 @@ class SamplingSpec:
     """Parameter distribution for empirical averages.
 
     ``uniform_periodic`` draws each component from [0, 2*pi); ``gaussian``
-    draws center + sigma * N(0, 1) (center defaults to the origin).  Sample s
-    uses an independent stream derived from (seed, s).
+    draws sigma * N(0, 1) around the origin.  Sample s uses an independent
+    stream derived from (seed, s).
     """
 
     distribution: str = "uniform_periodic"
@@ -41,12 +41,11 @@ class SamplingSpec:
         if self.distribution not in ("uniform_periodic", "gaussian"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
-    def draw(self, num_params: int, index: int, center: np.ndarray | None = None) -> np.ndarray:
+    def draw(self, num_params: int, index: int) -> np.ndarray:
         rng = rng_from(self.seed, "theta", index)
         if self.distribution == "uniform_periodic":
             return rng.uniform(0.0, 2.0 * np.pi, num_params)
-        base = np.zeros(num_params) if center is None else np.asarray(center, dtype=float)
-        return base + self.sigma * rng.standard_normal(num_params)
+        return self.sigma * rng.standard_normal(num_params)
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +67,6 @@ class MetricReport:
     kappa: float
     n_samples: int
     sample_spec: SamplingSpec | None
-    rank_rel_tol: float = RANK_REL_TOL
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +75,7 @@ class MetricReport:
             "d_eff": self.d_eff,
             "kappa": self.kappa,
             "n_samples": self.n_samples,
-            "rank_rel_tol": self.rank_rel_tol,
+            "rank_rel_tol": RANK_REL_TOL,
             "sampling": self.sample_spec.to_json() if self.sample_spec else None,
         }
 
@@ -98,74 +96,56 @@ def frame_metric(frame) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def empirical_metric(circuit, sampling: SamplingSpec, center: np.ndarray | None = None) -> MetricReport:
+def empirical_metric(circuit, sampling: SamplingSpec) -> MetricReport:
     """Average of the pointwise metric over seeded parameter draws."""
     num = circuit.num_params
     metrics = np.empty((sampling.n_samples, num, num))
     for s in range(sampling.n_samples):
-        theta = sampling.draw(num, s, center=center)
-        metrics[s] = fs_metric_at(circuit, theta)
+        metrics[s] = fs_metric_at(circuit, sampling.draw(num, s))
     g_hat = pairwise_mean(metrics)
     return metric_report(g_hat, n_samples=sampling.n_samples, sample_spec=sampling)
 
 
 def metric_report(
-    g: np.ndarray,
-    n_samples: int = 1,
-    sample_spec: SamplingSpec | None = None,
-    rank_rel_tol: float = RANK_REL_TOL,
+    g: np.ndarray, n_samples: int = 1, sample_spec: SamplingSpec | None = None
 ) -> MetricReport:
     eigenvalues = np.linalg.eigvalsh(g)[::-1].copy()
-    rank = metric_rank(g, rank_rel_tol, _eigenvalues=eigenvalues)
-    kappa = condition_number(g, rank, _eigenvalues=eigenvalues) if rank >= 1 else np.inf
+    rank = metric_rank(eigenvalues)
     return MetricReport(
         metric=g,
         eigenvalues=eigenvalues,
         rank=rank,
-        d_eff=effective_dimension(g, _eigenvalues=eigenvalues),
-        kappa=kappa,
+        d_eff=effective_dimension(eigenvalues),
+        kappa=condition_number(eigenvalues, rank) if rank >= 1 else np.inf,
         n_samples=n_samples,
         sample_spec=sample_spec,
-        rank_rel_tol=rank_rel_tol,
     )
 
 
 # ---------------------------------------------------------------------------
-# Spectral functionals
+# Spectral functionals of a metric's descending eigenvalues
 # ---------------------------------------------------------------------------
 
 
-def _eigs(metric: np.ndarray, cached: np.ndarray | None) -> np.ndarray:
-    if cached is not None:
-        return cached
-    return np.linalg.eigvalsh(metric)[::-1].copy()
-
-
-def effective_dimension(metric: np.ndarray, _eigenvalues: np.ndarray | None = None) -> float:
+def effective_dimension(eigenvalues: np.ndarray) -> float:
     """Spectral participation ratio (Tr g)^2 / Tr(g^2); 0 for the zero metric."""
-    ev = _eigs(metric, _eigenvalues)
-    if ev.size == 0 or ev[0] <= ZERO_METRIC_FLOOR:
+    if eigenvalues.size == 0 or eigenvalues[0] <= ZERO_METRIC_FLOOR:
         return 0.0
-    s1 = float(np.sum(ev))
-    s2 = float(np.sum(ev ** 2))
+    s1 = float(np.sum(eigenvalues))
+    s2 = float(np.sum(eigenvalues ** 2))
     return s1 * s1 / s2
 
 
-def metric_rank(
-    metric: np.ndarray, rel_tol: float = RANK_REL_TOL, _eigenvalues: np.ndarray | None = None
-) -> int:
+def metric_rank(eigenvalues: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Eigenvalues above rel_tol times the largest one (0 for the zero metric)."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must be in (0, 1)")
-    ev = _eigs(metric, _eigenvalues)
-    if ev.size == 0 or ev[0] <= ZERO_METRIC_FLOOR:
+    if eigenvalues.size == 0 or eigenvalues[0] <= ZERO_METRIC_FLOOR:
         return 0
-    return int(np.sum(ev > rel_tol * ev[0]))
+    return int(np.sum(eigenvalues > rel_tol * eigenvalues[0]))
 
 
-def condition_number(
-    metric: np.ndarray, rank: int, _eigenvalues: np.ndarray | None = None
-) -> float:
+def condition_number(eigenvalues: np.ndarray, rank: int) -> float:
     """lambda_max / lambda_rank on the numerically resolved subspace.
 
     This is a pseudo condition number: rank-deficient metrics are conditioned
@@ -173,8 +153,7 @@ def condition_number(
     """
     if rank < 1:
         raise ValueError("condition_number needs rank >= 1")
-    ev = _eigs(metric, _eigenvalues)
-    return float(ev[0] / ev[rank - 1])
+    return float(eigenvalues[0] / eigenvalues[rank - 1])
 
 
 # ---------------------------------------------------------------------------

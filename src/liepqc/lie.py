@@ -144,19 +144,16 @@ def _default_tol(generators: list[PauliSum]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lie_closure(
-    generators: list[PauliSum],
-    max_dim: int | None = None,
-    tol: float | None = None,
-) -> LieBasis:
+def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBasis:
     """Bracket-closure of a skew-Hermitian generator set, breadth first.
 
     Starting from the orthonormalized generator span (depth 0), every pair
     (existing element, newest-layer element) is bracketed; residuals outside
-    the current span with HS norm above ``tol`` join the basis at depth
-    1 + max(parent depths).  Iteration stops at closure or when ``max_dim``
-    is hit; hitting the cap is flagged, not an error, and the reported
-    closure_defect is then the largest remaining residual.
+    the current span with HS norm above 1e-10 times the largest generator
+    norm join the basis at depth 1 + max(parent depths).  Iteration stops at
+    closure or when ``max_dim`` is hit; hitting the cap is flagged, not an
+    error, and the reported closure_defect is then the largest remaining
+    residual.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -164,8 +161,7 @@ def lie_closure(
     for g in generators:
         if not g.is_skew_hermitian():
             raise ValueError("closure generators must be skew-Hermitian")
-    if tol is None:
-        tol = _default_tol(generators)
+    tol = _default_tol(generators)
     full_dim = 4 ** n_qubits
     if max_dim is None:
         max_dim = full_dim

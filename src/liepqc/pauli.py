@@ -206,10 +206,6 @@ class PauliSum:
     def __neg__(self) -> "PauliSum":
         return (-1.0) * self
 
-    def dagger(self) -> "PauliSum":
-        # strings are Hermitian, only coefficients conjugate
-        return self._like({k: v.conjugate() for k, v in self.terms.items()})
-
     def commutator(self, other: "PauliSum") -> "PauliSum":
         return self * other - other * self
 
@@ -235,10 +231,6 @@ class PauliSum:
         return self._like({k: v for k, v in self.terms.items() if abs(v) > rel_tol * top})
 
     # -- structure queries --------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         scale = max((abs(v) for v in self.terms.values()), default=0.0)

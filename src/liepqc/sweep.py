@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +31,7 @@ from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import rng_from
+from .util import _one_blas_thread, rng_from
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -47,6 +48,11 @@ DEFAULT_MASTER_SEED = 14
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (unknown key, bad value)."""
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """An instance of ``kind`` that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -68,6 +74,19 @@ class SweepConfig:
     def __post_init__(self):
         if not self.qubit_range:
             raise ConfigError("qubit_range is empty")
+        integers = [("qubit_range entries", n) for n in self.qubit_range] + [
+            ("depth", self.depth),
+            ("opt_steps", self.opt_steps),
+            ("random_keep", self.random_keep),
+            ("lie_depth_cap", self.lie_depth_cap),
+            ("lie_dim_budget", self.lie_dim_budget),
+            ("master_seed", self.master_seed),
+            ("workers", self.workers),
+            ("sampling.n_samples", self.sampling.n_samples),
+        ]
+        for name, value in integers:
+            if not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if any(not 1 <= n <= 10 for n in self.qubit_range):
             raise ConfigError("qubit_range entries must lie in [1, 10]")
         if self.depth < 1:
@@ -79,7 +98,8 @@ class SweepConfig:
             raise ConfigError(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        # the HEA has 2n distinct generator directions (R_Y and R_Z per qubit)
+        # the HEA has 2n distinct generator directions (R_Y and R_Z per qubit),
+        # which span its generator space
         max_keep = 2 * min(self.qubit_range)
         if "random_trunc" in self.methods and not 1 <= self.random_keep <= max_keep:
             raise ConfigError(
@@ -89,8 +109,16 @@ class SweepConfig:
             raise ConfigError("lie_depth_cap must be >= 0")
         if self.lie_dim_budget < 0:
             raise ConfigError("lie_dim_budget must be >= 0 (0 = generator span dimension)")
-        if not (math.isfinite(self.opt_rate) and self.opt_rate > 0):
-            raise ConfigError("opt_rate must be finite and > 0")
+        span_dim = 2 * max(self.qubit_range)
+        if "lie_trunc" in self.methods and 0 < self.lie_dim_budget < span_dim:
+            raise ConfigError(
+                f"lie_dim_budget must be 0 or >= {span_dim} (2 * largest qubit count)"
+            )
+        if not (_is_number(self.opt_rate) and math.isfinite(self.opt_rate) and self.opt_rate > 0):
+            raise ConfigError("opt_rate must be a finite number > 0")
+        sigma = self.sampling.sigma
+        if not (_is_number(sigma) and math.isfinite(sigma)):
+            raise ConfigError(f"sampling.sigma must be a finite number, not {sigma!r}")
         if self.sampling.n_samples < 2:
             raise ConfigError("sampling.n_samples must be >= 2 (each cell estimates a variance)")
 
@@ -319,12 +347,15 @@ def run_sweep(
 
     The pool maps over qubit counts, so workers beyond their number idle.
     It takes the largest, slowest count first, so that count does not start
-    last; outcomes are sorted afterwards either way.
+    last; outcomes are sorted afterwards either way.  Its workers run BLAS on
+    one thread.
     """
     tasks = [(config, n) for n in config.qubit_range]
     if config.workers > 1:
         largest_first = sorted(tasks, key=lambda t: t[1], reverse=True)
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_one_blas_thread
+        ) as pool:
             per_n = list(pool.map(_qubit_count_task, largest_first))
     else:
         per_n = [_qubit_count_task(t) for t in tasks]

@@ -53,12 +53,14 @@ class LossSpec:
     """
 
     kind: str = "observable_expectation"
-    observable: PauliSum | np.ndarray | None = None
+    observable: PauliSum | None = None
     tfim_params: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in ("observable_expectation", "vqe_tfim"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        if self.observable is not None and not isinstance(self.observable, PauliSum):
+            raise TypeError("observable must be a PauliSum")
 
     def observable_dense(self, n_qubits: int) -> np.ndarray:
         if self.kind == "vqe_tfim":
@@ -66,20 +68,15 @@ class LossSpec:
         if self.observable is None:
             letters = "Z" + "I" * (n_qubits - 1)
             return PauliSum.from_letters(n_qubits, letters).dense()
-        if isinstance(self.observable, PauliSum):
-            if self.observable.n_qubits != n_qubits:
-                raise ValueError("observable qubit count does not match circuit")
-            return self.observable.dense()
-        obs = np.asarray(self.observable, dtype=complex)
-        if obs.shape != (2 ** n_qubits, 2 ** n_qubits):
-            raise ValueError("observable dimension does not match circuit")
-        return obs
+        if self.observable.n_qubits != n_qubits:
+            raise ValueError("observable qubit count does not match circuit")
+        return self.observable.dense()
 
     def to_json(self) -> dict:
         data: dict = {"kind": self.kind}
         if self.kind == "vqe_tfim":
             data["tfim_params"] = list(self.tfim_params)
-        elif isinstance(self.observable, PauliSum):
+        elif self.observable is not None:
             data["observable"] = self.observable.to_text()
         return data
 
@@ -171,11 +168,7 @@ def svd_chain_rule(circuit, theta: np.ndarray, loss: LossSpec) -> JacobianDecomp
 class VarianceReport:
     """Componentwise gradient variance over seeded parameter draws.
 
-    ``metric`` is the empirical metric over the same draws.  mode_variances
-    re-expresses the samples in its frozen eigenframe: entry i is the
-    variance of the gradient projection onto metric eigenvector i, the
-    spectral form of the variance decomposition (their sum equals the
-    component sum exactly).
+    ``metric`` is the empirical metric over the same draws.
     """
 
     per_component_variance: np.ndarray
@@ -184,19 +177,7 @@ class VarianceReport:
     n_samples: int
     seed: int
     product_var_deff: float
-    mode_variances: np.ndarray
     metric: MetricReport
-
-    def to_json(self) -> dict:
-        return {
-            "per_component_variance": [float(v) for v in self.per_component_variance],
-            "mean_component_variance": self.mean_component_variance,
-            "first_component_variance": self.first_component_variance,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "product_var_deff": self.product_var_deff,
-            "mode_variances": [float(v) for v in self.mode_variances],
-        }
 
 
 def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> VarianceReport:
@@ -220,15 +201,9 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
     metric = metric_report(
         pairwise_mean(metrics), n_samples=sampling.n_samples, sample_spec=sampling
     )
-    mean_grad = pairwise_mean(grads)
-    centered = grads - mean_grad
+    centered = grads - pairwise_mean(grads)
     factor = sampling.n_samples / (sampling.n_samples - 1)
     per_component = factor * pairwise_mean(centered ** 2)
-
-    eigvecs = np.linalg.eigh(metric.metric)[1][:, ::-1]
-    mode_centered = centered @ eigvecs
-    mode_variances = factor * pairwise_mean(mode_centered ** 2)
-
     mean_var = float(pairwise_mean(per_component))
     return VarianceReport(
         per_component_variance=per_component,
@@ -237,7 +212,6 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
         n_samples=sampling.n_samples,
         seed=sampling.seed,
         product_var_deff=mean_var * metric.d_eff,
-        mode_variances=mode_variances,
         metric=metric,
     )
 
@@ -305,22 +279,6 @@ def fit_scaling(records: list[tuple[float, float, float]], model: str) -> Scalin
         n_used=len(usable),
         n_dropped=dropped,
     )
-
-
-# ---------------------------------------------------------------------------
-# Jacobian norm statistics
-# ---------------------------------------------------------------------------
-
-
-def jacobian_norm_estimate(circuit, sampling: SamplingSpec) -> tuple[float, np.ndarray]:
-    """Mean squared largest singular value of the real Jacobian over draws."""
-    num = circuit.num_params
-    per_sample = np.empty(sampling.n_samples)
-    for s in range(sampling.n_samples):
-        theta = sampling.draw(num, s)
-        jac = real_jacobian(circuit.tangent_frame(theta))
-        per_sample[s] = np.linalg.norm(jac, 2) ** 2
-    return float(pairwise_mean(per_sample)), per_sample
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared plumbing: deterministic seeding, reductions, complex JSON encoding.
+"""Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
+and the set-up of process-pool workers.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -8,6 +9,7 @@ stable across processes and Python versions (no salted ``hash()``).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import numpy as np
@@ -78,3 +80,49 @@ def complex_from_json(data: list) -> np.ndarray:
     if arr.ndim == 3 and arr.shape[-1] == 2:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     raise ValueError("expected nested [re, im] pairs")
+
+
+# ---------------------------------------------------------------------------
+# Process-pool workers
+# ---------------------------------------------------------------------------
+
+# Setters of a loaded BLAS's thread count: OpenBLAS under its plain, 64-bit
+# integer and scipy-openblas (numpy's wheels) names, and MKL.
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "MKL_Set_Num_Threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run the BLAS loaded in this process on one thread.
+
+    The initializer of every process pool here (the sweep's ``workers > 1``
+    pool and ``verify_suite``'s): the pool's processes already fill the
+    cores.  A BLAS that also threads each product spins its helper threads
+    against the other processes' work; on a two-core host, with BLAS threads
+    left at their default, that made the verify suite two to three times
+    slower than the serial one, and a ``workers=2`` default sweep about twice
+    as slow as with BLAS pinned.  Libraries are found through
+    ``/proc/self/maps``; where it does not exist this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return
+    for path in {f[5].strip() for f in fields if len(f) == 6}:
+        if "blas" not in path.lower() and "mkl_rt" not in path:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)

@@ -16,7 +16,6 @@ themselves and criterion 2 rebuilds its cell.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +38,7 @@ from .trainability import (
     real_jacobian,
     svd_chain_rule,
 )
-from .util import rng_from
+from .util import _one_blas_thread, rng_from
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +221,8 @@ def check_span_preservation(records=None, config: SweepConfig | None = None) -> 
     mismatches = []
     for n in config.qubit_range:
         for tol in (1e-6, 1e-8, 1e-10):
-            rf = metric_rank(None, tol, _eigenvalues=spectra[(n, "full")])
-            rl = metric_rank(None, tol, _eigenvalues=spectra[(n, "lie_trunc")])
+            rf = metric_rank(spectra[(n, "full")], tol)
+            rl = metric_rank(spectra[(n, "lie_trunc")], tol)
             if rf != rl:
                 mismatches.append((n, tol, rf, rl))
     return _check(
@@ -556,46 +555,6 @@ INVARIANT_CHECKS = [
     check_norm_preservation,
     check_closure_idempotence,
 ]
-
-
-# Setters of a loaded BLAS's thread count: OpenBLAS under its plain, 64-bit
-# integer and scipy-openblas (numpy's wheels) names, and MKL.
-_BLAS_THREAD_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-    "MKL_Set_Num_Threads",
-)
-
-
-def _one_blas_thread() -> None:
-    """Run the BLAS loaded in this process on one thread.
-
-    The suite's two pool processes already fill two cores.  A BLAS that
-    also threads each product spins its helper threads against the other
-    process's work; on a two-core host, with BLAS threads left at their
-    default, that made the suite two to three times slower than the serial
-    one.  Libraries are found through ``/proc/self/maps``; where it does not
-    exist this does nothing.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return
-    for path in {f[5].strip() for f in fields if len(f) == 6}:
-        if "blas" not in path.lower() and "mkl_rt" not in path:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
 
 
 def _timed_check(fn, kwargs: dict) -> dict:

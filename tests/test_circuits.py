@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from liepqc.circuits import (
@@ -10,7 +11,6 @@ from liepqc.circuits import (
     ParamSlot,
     TangentFrame,
     build_ansatz,
-    check_nondegeneracy,
     circuit_from_json,
     circuit_to_json,
     cz_ring_matrix,
@@ -123,6 +123,32 @@ def test_partials_match_finite_differences():
             fd = (c.evolve(tp) - c.evolve(tm)) / (2 * h)
             denom = max(np.linalg.norm(frame.partials[:, k]), 1e-2)
             assert np.linalg.norm(fd - frame.partials[:, k]) / denom <= 1e-6
+
+
+@st.composite
+def _string_circuits(draw):
+    n = draw(st.integers(1, 3))
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    words = draw(st.lists(word, min_size=1, max_size=6))
+    angles = st.floats(0.0, 2 * np.pi)
+    theta = np.array([draw(angles) for _ in words])
+    return CircuitSpec(n, [slot(n, w) for w in words]), theta
+
+
+@settings(max_examples=40, deadline=None)
+@given(_string_circuits())
+def test_partials_match_finite_differences_property(case):
+    # criterion 5's bound: 1e-6 relative, the scale floored at 1e-2
+    c, theta = case
+    h = 1e-5
+    frame = c.tangent_frame(theta)
+    for k in range(c.num_params):
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += h
+        tm[k] -= h
+        fd = (c.evolve(tp) - c.evolve(tm)) / (2 * h)
+        scale = max(np.linalg.norm(frame.partials[:, k]), np.linalg.norm(fd), 1e-2)
+        assert np.linalg.norm(fd - frame.partials[:, k]) / scale <= 1e-6
 
 
 def test_phase_projection_orthogonality():
@@ -284,29 +310,6 @@ def test_sign_gate_detection():
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy
-# ---------------------------------------------------------------------------
-
-
-def test_nondegeneracy_stabilizer_direction():
-    c = CircuitSpec(1, [slot(1, "Z")])
-    ok, witness = check_nondegeneracy(c)
-    assert not ok and witness is None
-
-
-def test_nondegeneracy_moving_direction():
-    c = CircuitSpec(1, [slot(1, "X")])
-    ok, witness = check_nondegeneracy(c)
-    assert ok and witness == 0
-
-
-def test_nondegeneracy_second_slot_witness():
-    c = CircuitSpec(2, [slot(2, "ZI"), slot(2, "IX")])
-    ok, witness = check_nondegeneracy(c)
-    assert ok and witness == 1
-
-
-# ---------------------------------------------------------------------------
 # ansatz construction
 # ---------------------------------------------------------------------------
 
@@ -383,10 +386,3 @@ def test_circuit_json_dense_generator():
     back = circuit_from_json(circuit_to_json(c))
     theta = np.array([0.5])
     np.testing.assert_allclose(back.evolve(theta), c.evolve(theta), atol=1e-12)
-
-
-def test_polynomial_depth_budget():
-    from liepqc.circuits import polynomial_depth_ok
-
-    assert polynomial_depth_ok(build_ansatz("full_hea", 3, 2))       # 12 <= 4*9
-    assert not polynomial_depth_ok(build_ansatz("full_hea", 2, 5), coeff=1.0, power=1)

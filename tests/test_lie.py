@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepqc.circuits import build_ansatz
 from liepqc.lie import (
@@ -64,6 +65,22 @@ def test_closure_idempotence():
     assert again.dim == basis.dim
 
 
+@st.composite
+def _skew_string_sets(draw):
+    n = draw(st.integers(1, 3))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
+    letters = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    sign, size = st.sampled_from([-1.0, 1.0]), st.floats(0.1, 2.0)
+    return [skew(n, w, draw(sign) * draw(size)) for w in letters]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skew_string_sets())
+def test_closure_idempotence_property(gens):
+    basis = lie_closure(gens)
+    assert lie_closure(basis.elements).dim == basis.dim
+
+
 def test_closure_dimension_invariant_under_remixing():
     rng = np.random.default_rng(21)
     gens = [skew(2, "ZI"), skew(2, "IZ"), skew(2, "XX")]
@@ -93,11 +110,6 @@ def test_closure_cap_flags_defect():
 def test_closure_requires_skew():
     with pytest.raises(ValueError):
         lie_closure([PauliSum.from_letters(1, "X", 1.0)])
-
-
-def test_closure_bad_tolerance():
-    with pytest.raises(ValueError):
-        lie_closure([skew(1, "X")], tol=-1.0)
 
 
 def test_closure_matches_oracle_on_random_sets():
@@ -205,7 +217,7 @@ def test_random_trunc_rank_bound_any_theta():
         for _ in range(4):
             theta = rng.uniform(0, 2 * np.pi, model.num_params)
             g = fs_metric_at(model, theta)
-            assert metric_rank(g, 1e-8) <= 2
+            assert metric_rank(np.linalg.eigvalsh(g)[::-1], 1e-8) <= 2
 
 
 def test_reassignment_preserves_slot_count():

@@ -81,6 +81,7 @@ def test_config_rejects_bad_truncation_and_descent_fields():
         {"random_keep": 5, "qubit_range": [2, 3]},   # HEA at n=2 has 4 directions
         {"lie_depth_cap": -1},
         {"lie_dim_budget": -1},
+        {"lie_dim_budget": 5, "qubit_range": [2, 3]},  # the span at n=3 is 6-dimensional
         {"opt_rate": 0.0},
         {"opt_rate": -0.1},
         {"opt_rate": float("inf")},
@@ -91,6 +92,9 @@ def test_config_rejects_bad_truncation_and_descent_fields():
             config_from_dict(data)
     # random_keep is bounded only when random_trunc runs; 2 * min(n) is allowed
     config_from_dict({"random_keep": 99, "methods": ["full"]})
+    # a nonzero lie_dim_budget is bounded below only when lie_trunc runs
+    config_from_dict({"lie_dim_budget": 5, "qubit_range": [2, 3], "methods": ["full"]})
+    config_from_dict({"lie_dim_budget": 6, "qubit_range": [2, 3]})
     cfg = small_config(methods=["random_trunc"], random_keep=4)
     assert cell(cfg, 2, "random_trunc").truncated_dim == 4
 
@@ -186,6 +190,34 @@ def test_sweep_worker_count_independent():
     seq, _ = run_sweep(cfg, write_files=False)
     par, _ = run_sweep(dataclasses.replace(cfg, workers=2), write_files=False)
     assert records_csv_text(seq) == records_csv_text(par)
+
+
+def test_sweep_pool_runs_blas_on_one_thread(monkeypatch):
+    # the workers > 1 pool and verify's pool share one BLAS-pinning initializer
+    import liepqc.util as util_mod
+    import liepqc.verify as verify_mod
+
+    initializers = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            initializers.append(initializer)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    cfg = small_config(qubit_range=[2, 3], workers=2)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert len(records) == 2 and not errors
+    assert initializers == [util_mod._one_blas_thread]
+    assert verify_mod._one_blas_thread is util_mod._one_blas_thread
 
 
 def test_cell_isolation(monkeypatch):
@@ -364,6 +396,18 @@ CONFIG_ERRORS = {
     "sampling_rejected": {"sampling": {"n_samples": 0}},
     "single_sample": {"sampling": {"n_samples": 1}},
     "loss_rejected": {"loss": {"kind": "nope"}},
+    "float_depth": {"depth": 1.5},
+    "float_opt_steps": {"opt_steps": 2.5},
+    "float_qubit": {"qubit_range": [2.5]},
+    "bool_qubit": {"qubit_range": [True]},
+    "float_random_keep": {"random_keep": 1.5},
+    "float_workers": {"workers": 1.5},
+    "string_master_seed": {"master_seed": "x"},
+    "bool_opt_rate": {"opt_rate": True},
+    "float_n_samples": {"sampling": {"n_samples": 2.5}},
+    "string_sigma": {"sampling": {"sigma": "a"}},
+    "nan_sigma": {"sampling": {"sigma": float("nan")}},
+    "lie_dim_budget_below_span": {"qubit_range": [2, 3], "lie_dim_budget": 5},
 }
 
 

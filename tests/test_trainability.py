@@ -12,7 +12,6 @@ from liepqc.trainability import (
     gradient_descent,
     gradient_variance,
     ground_energy,
-    jacobian_norm_estimate,
     loss_and_gradient,
     real_jacobian,
     svd_chain_rule,
@@ -104,6 +103,11 @@ def test_unknown_loss_kind():
         LossSpec(kind="hinge")
 
 
+def test_observable_must_be_a_pauli_sum():
+    with pytest.raises(TypeError):
+        LossSpec(observable=np.diag([1.0, -1.0]))
+
+
 # ---------------------------------------------------------------------------
 # SVD chain rule
 # ---------------------------------------------------------------------------
@@ -184,15 +188,6 @@ def test_variance_deterministic_across_runs():
     assert a.product_var_deff == b.product_var_deff
 
 
-def test_variance_mode_decomposition_sums_match():
-    # trace of the sample covariance is basis independent
-    c = build_ansatz("full_hea", 2, 1)
-    rep = gradient_variance(c, LossSpec(), SamplingSpec(n_samples=40, seed=8))
-    assert np.sum(rep.mode_variances) == pytest.approx(
-        np.sum(rep.per_component_variance), rel=1e-10
-    )
-
-
 def test_variance_product_pairs_with_metric():
     c = build_ansatz("full_hea", 2, 1)
     samp = SamplingSpec(n_samples=25, seed=9)
@@ -248,37 +243,6 @@ def test_fit_on_sweep_style_records():
     fit = fit_scaling(records, "poly_in_n")
     assert fit.rate > 0
     assert 0.0 <= fit.r_squared <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# Jacobian norm
-# ---------------------------------------------------------------------------
-
-
-def test_jacobian_norm_single_slot_exactly_one():
-    c = one_x_circuit()
-    mean, per_sample = jacobian_norm_estimate(c, SamplingSpec(n_samples=10, seed=2))
-    np.testing.assert_allclose(per_sample, 1.0, atol=1e-12)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-
-
-def test_jacobian_norm_duplicated_slots_add_in_quadrature():
-    L = 5
-    c = CircuitSpec(1, [slot(1, "X") for _ in range(L)])
-    mean, _ = jacobian_norm_estimate(c, SamplingSpec(n_samples=5, seed=3))
-    assert mean == pytest.approx(float(L), abs=1e-10)
-
-
-def test_jacobian_norm_growth_is_finite():
-    means = []
-    for n in (2, 3, 4):
-        c = build_ansatz("full_hea", n, 1)
-        mean, _ = jacobian_norm_estimate(c, SamplingSpec(n_samples=10, seed=4))
-        means.append(mean)
-    fit = fit_scaling(
-        [(n, 0.0, m) for n, m in zip((2, 3, 4), means)], "poly_in_n"
-    )
-    assert np.isfinite(fit.rate)
 
 
 # ---------------------------------------------------------------------------
