@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .pauli import PauliString, PauliSum, pauli_product
+from .pauli import PauliSum
 from .circuits import CircuitSpec, ParamSlot, FixedGate, build_ansatz
 from .lie import LieBasis, TruncationReport, lie_closure, lie_trunc, random_trunc, truncated_circuit
 from .geometry import (
@@ -26,9 +26,7 @@ from .trainability import (
 from .robustness import PerturbationTrial, perturbation_bound_check
 
 __all__ = [
-    "PauliString",
     "PauliSum",
-    "pauli_product",
     "CircuitSpec",
     "ParamSlot",
     "FixedGate",

@@ -33,8 +33,8 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PauliSum
-from .linalg import hermitian_eig, is_hermitian
+from .pauli import PauliSum, all_strings
+from .linalg import hermitian_eig
 
 NORM_TOL = 1e-10
 
@@ -62,48 +62,29 @@ def _as_blas_sum(x: np.ndarray) -> np.ndarray:
 
 
 class ParamSlot:
-    """One trainable rotation exp(-i theta H) with Hermitian generator H."""
+    """One trainable rotation exp(-i theta H) with a Hermitian Pauli-sum generator H."""
 
-    def __init__(self, generator: PauliSum | np.ndarray, label: str | None = None):
-        if isinstance(generator, PauliSum):
-            if not generator.is_hermitian():
-                raise ValueError("slot generator must be Hermitian")
-            self.generator = generator
-            self.n_qubits = generator.n_qubits
-        else:
-            generator = np.asarray(generator, dtype=complex)
-            if not is_hermitian(generator):
-                raise ValueError("slot generator must be Hermitian")
-            self.generator = generator
-            self.n_qubits = int(np.log2(generator.shape[0]))
+    def __init__(self, generator: PauliSum, label: str | None = None):
+        if not isinstance(generator, PauliSum):
+            raise TypeError("slot generator must be a PauliSum")
+        if not generator.is_hermitian():
+            raise ValueError("slot generator must be Hermitian")
+        self.generator = generator
+        self.n_qubits = generator.n_qubits
         self.label = label
-        self._dense_h: np.ndarray | None = None
         self._string_cache: tuple[float, np.ndarray] | None = None
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
-        self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._prepare()
-
-    def _prepare(self) -> None:
-        if isinstance(self.generator, PauliSum):
-            single = self.generator.single_string()
-            if single is not None and abs(single.coefficient.imag) == 0.0:
-                p = PauliSum.from_letters(self.n_qubits, single.letters).dense()
-                self._string_cache = (float(single.coefficient.real), p)
-                # each row of a Pauli string has one nonzero entry, a phase
-                rows = np.arange(p.shape[0])
-                cols = np.argmax(p != 0, axis=1)
-                self._gather = (cols, p[rows, cols])
-                return
-        h = self.dense_generator()
-        self._eig_cache = hermitian_eig(h)
-
-    def dense_generator(self) -> np.ndarray:
-        if self._dense_h is None:
-            if isinstance(self.generator, PauliSum):
-                self._dense_h = self.generator.dense()
-            else:
-                self._dense_h = self.generator
-        return self._dense_h
+        single = generator.single_string()
+        if single is not None and abs(single[1].imag) == 0.0:
+            p = PauliSum.from_letters(self.n_qubits, single[0]).dense()
+            self._string_cache = (float(single[1].real), p)
+            # each row of a Pauli string has one nonzero entry, a phase
+            rows = np.arange(p.shape[0])
+            cols = np.argmax(p != 0, axis=1)
+            self._gather = (cols, p[rows, cols])
+        else:
+            self._dense_h = generator.dense()
+            self._eig_cache = hermitian_eig(self._dense_h)
 
     def matrix(self, theta: float) -> np.ndarray:
         """Dense exp(-i theta H)."""
@@ -124,7 +105,7 @@ class ParamSlot:
         """-i H |state>."""
         if self._string_cache is not None:
             return -1j * self._string_cache[0] * self._string_apply(state)
-        return -1j * (self.dense_generator() @ state)
+        return -1j * (self._dense_h @ state)
 
     def _string_apply(self, state: np.ndarray) -> np.ndarray:
         """P |state> for the slot's unit Pauli string P, as a gather."""
@@ -132,12 +113,10 @@ class ParamSlot:
         return _as_blas_sum(phases * state[cols])
 
     def generator_text(self) -> str:
-        if isinstance(self.generator, PauliSum):
-            single = self.generator.single_string()
-            if single is not None and single.coefficient == 1.0:
-                return single.letters
-            return self.generator.to_text()
-        return "<dense>"
+        single = self.generator.single_string()
+        if single is not None and single[1] == 1.0:
+            return single[0]
+        return self.generator.to_text()
 
 
 class FixedGate:
@@ -233,14 +212,8 @@ class CircuitSpec:
         return len(self.param_slots)
 
     def skew_generators(self) -> list[PauliSum]:
-        """i*H_k for all slots, as exact Pauli sums (dense slots are expanded)."""
-        out = []
-        for slot in self.param_slots:
-            if isinstance(slot.generator, PauliSum):
-                out.append(1j * slot.generator)
-            else:
-                out.append(1j * dense_to_pauli_sum(slot.generator, self.n_qubits))
-        return out
+        """i*H_k for all slots, as exact Pauli sums."""
+        return [1j * slot.generator for slot in self.param_slots]
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -353,12 +326,12 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
 
 def dense_to_pauli_sum(matrix: np.ndarray, n_qubits: int) -> PauliSum:
     """Expand a dense operator exactly in the Pauli-string basis."""
-    from .pauli import all_strings, PauliString
-
     dim = 2 ** n_qubits
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"matrix has shape {matrix.shape}, expected {(dim, dim)}")
     terms: dict[str, complex] = {}
     for letters in all_strings(n_qubits):
-        p = PauliString(n_qubits, letters).dense()
+        p = PauliSum.from_letters(n_qubits, letters).dense()
         coeff = complex(np.trace(p.conj().T @ matrix)) / dim
         if abs(coeff) > 1e-14:
             terms[letters] = coeff
@@ -371,10 +344,7 @@ def circuit_to_json(circuit: CircuitSpec) -> dict:
     slots = []
     for op in circuit.ops:
         if isinstance(op, ParamSlot):
-            if isinstance(op.generator, PauliSum):
-                slots.append({"kind": "param", "pauli": op.generator_text()})
-            else:
-                slots.append({"kind": "param", "matrix": complex_to_json(op.generator)})
+            slots.append({"kind": "param", "pauli": op.generator_text()})
         else:
             slots.append(
                 {"kind": "fixed", "matrix": complex_to_json(op.matrix_value), "label": op.label}
@@ -406,7 +376,8 @@ def circuit_from_json(data: dict) -> CircuitSpec:
                     gen = PauliSum.from_letters(n, text)
                 ops.append(ParamSlot(gen))
             else:
-                ops.append(ParamSlot(complex_from_json(slot["matrix"])))
+                matrix = complex_from_json(slot["matrix"])
+                ops.append(ParamSlot(dense_to_pauli_sum(matrix, n)))
         elif kind == "fixed":
             ops.append(FixedGate(complex_from_json(slot["matrix"]), slot.get("label", "fixed")))
         else:

@@ -72,7 +72,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.methods:
             overrides["methods"] = args.methods.split(",")
         if args.samples is not None:
-            overrides["sampling"] = {**config.sampling.to_json(), "n_samples": args.samples}
+            overrides["sampling"] = {**config.to_json()["sampling"], "n_samples": args.samples}
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if args.workers is not None:

@@ -65,8 +65,7 @@ class MetricReport:
     rank: int
     d_eff: float
     kappa: float
-    n_samples: int
-    sample_spec: SamplingSpec | None
+    sample_spec: SamplingSpec
 
     def to_json(self) -> dict:
         return {
@@ -74,9 +73,9 @@ class MetricReport:
             "rank": self.rank,
             "d_eff": self.d_eff,
             "kappa": self.kappa,
-            "n_samples": self.n_samples,
+            "n_samples": self.sample_spec.n_samples,
             "rank_rel_tol": RANK_REL_TOL,
-            "sampling": self.sample_spec.to_json() if self.sample_spec else None,
+            "sampling": self.sample_spec.to_json(),
         }
 
 
@@ -103,12 +102,11 @@ def empirical_metric(circuit, sampling: SamplingSpec) -> MetricReport:
     for s in range(sampling.n_samples):
         metrics[s] = fs_metric_at(circuit, sampling.draw(num, s))
     g_hat = pairwise_mean(metrics)
-    return metric_report(g_hat, n_samples=sampling.n_samples, sample_spec=sampling)
+    return metric_report(g_hat, sampling)
 
 
-def metric_report(
-    g: np.ndarray, n_samples: int = 1, sample_spec: SamplingSpec | None = None
-) -> MetricReport:
+def metric_report(g: np.ndarray, sampling: SamplingSpec) -> MetricReport:
+    """Spectral report of a metric averaged over ``sampling``'s draws."""
     eigenvalues = np.linalg.eigvalsh(g)[::-1].copy()
     rank = metric_rank(eigenvalues)
     return MetricReport(
@@ -117,8 +115,7 @@ def metric_report(
         rank=rank,
         d_eff=effective_dimension(eigenvalues),
         kappa=condition_number(eigenvalues, rank) if rank >= 1 else np.inf,
-        n_samples=n_samples,
-        sample_spec=sample_spec,
+        sample_spec=sampling,
     )
 
 

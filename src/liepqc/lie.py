@@ -153,7 +153,9 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     norm join the basis at depth 1 + max(parent depths).  Iteration stops at
     closure or when ``max_dim`` is hit; hitting the cap is flagged, not an
     error, and the reported closure_defect is then the largest remaining
-    residual.
+    residual.  A generator set whose span is empty at that tolerance (a
+    coefficient whose square underflows, say) is a ValueError, like an empty
+    list.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -168,6 +170,8 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     max_dim = min(max_dim, full_dim)
 
     basis, _ = orthonormalize_sums(generators, tol)
+    if not basis:
+        raise ValueError("generators span no direction above the closure tolerance")
     depths = [0] * len(basis)
     newest = list(range(len(basis)))
     capped = False

@@ -11,16 +11,14 @@ Conventions
   coefficient product), so commutators and Hilbert-Schmidt inner products of
   string combinations are exact up to float rounding of the coefficients.
 
-Operators built from several strings are held as :class:`PauliSum`, a sparse
-map letters -> complex coefficient.  Since distinct unit strings are
-HS-orthogonal with squared norm 2^n, inner products reduce to coefficient
-arithmetic and never require densifying.  Hermitian sums have real
+Every operator is a :class:`PauliSum`, a sparse map letters -> complex
+coefficient; one Pauli string is a sum with one term.  Since distinct unit
+strings are HS-orthogonal with squared norm 2^n, inner products reduce to
+coefficient arithmetic and never require densifying.  Hermitian sums have real
 coefficients, skew-Hermitian sums purely imaginary ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,49 +46,23 @@ def _check_letters(letters: str) -> None:
         raise ValueError(f"invalid Pauli letters {sorted(bad)} in {letters!r}")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """One Pauli word with a complex coefficient."""
-
-    n_qubits: int
-    letters: str
-    coefficient: complex = 1.0
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        if len(self.letters) != self.n_qubits:
-            raise ValueError(
-                f"letters {self.letters!r} has length {len(self.letters)}, "
-                f"expected {self.n_qubits}"
-            )
-        _check_letters(self.letters)
-
-    def dense(self) -> np.ndarray:
-        mat = np.array([[self.coefficient]], dtype=complex)
-        for ch in self.letters:
-            mat = np.kron(mat, SINGLE_QUBIT[ch])
-        return mat
-
-    def to_text(self) -> str:
-        return f"{_format_coeff(self.coefficient)}*{self.letters}"
-
-
-def pauli_product(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product of two Pauli strings.
-
-    The result is a single string whose coefficient is the product of the
-    input coefficients times a tracked phase in {+-1, +-i}.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
+def _string_product(la: str, lb: str) -> tuple[complex, str]:
+    """Product of two unit words: la * lb = phase * letters, phase in {+-1, +-i}."""
     phase = 1 + 0j
     letters = []
-    for ca, cb in zip(a.letters, b.letters):
+    for ca, cb in zip(la, lb):
         ph, cc = _PRODUCT[(ca, cb)]
         phase *= ph
         letters.append(cc)
-    return PauliString(a.n_qubits, "".join(letters), phase * a.coefficient * b.coefficient)
+    return phase, "".join(letters)
+
+
+def _string_dense(letters: str, coeff: complex) -> np.ndarray:
+    """Dense coeff * kron(op(q0), op(q1), ...)."""
+    mat = np.array([[coeff]], dtype=complex)
+    for ch in letters:
+        mat = np.kron(mat, SINGLE_QUBIT[ch])
+    return mat
 
 
 def _format_coeff(c: complex) -> str:
@@ -132,10 +104,6 @@ class PauliSum:
     @classmethod
     def from_letters(cls, n_qubits: int, letters: str, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {letters: coeff})
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits, {})
 
     @classmethod
     def from_text(cls, n_qubits: int, text: str) -> "PauliSum":
@@ -195,11 +163,8 @@ class PauliSum:
             terms: dict[str, complex] = {}
             for la, ca in self.terms.items():
                 for lb, cb in other.terms.items():
-                    prod = pauli_product(
-                        PauliString(self.n_qubits, la, ca),
-                        PauliString(self.n_qubits, lb, cb),
-                    )
-                    terms[prod.letters] = terms.get(prod.letters, 0) + prod.coefficient
+                    phase, letters = _string_product(la, lb)
+                    terms[letters] = terms.get(letters, 0) + phase * ca * cb
             return self._like(terms)
         return self._like({k: other * v for k, v in self.terms.items()})
 
@@ -240,12 +205,11 @@ class PauliSum:
         scale = max((abs(v) for v in self.terms.values()), default=0.0)
         return all(abs(v.real) <= tol * max(scale, 1e-300) for v in self.terms.values())
 
-    def single_string(self) -> PauliString | None:
-        """The unique term if this sum is a single string, else None."""
+    def single_string(self) -> tuple[str, complex] | None:
+        """(letters, coefficient) of the sum's only term, or None for other sums."""
         if len(self.terms) != 1:
             return None
-        letters, coeff = next(iter(self.terms.items()))
-        return PauliString(self.n_qubits, letters, coeff)
+        return next(iter(self.terms.items()))
 
     # -- materialization / serialization ------------------------------------
 
@@ -253,17 +217,15 @@ class PauliSum:
         dim = 2 ** self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for letters, coeff in self.terms.items():
-            out += PauliString(self.n_qubits, letters, coeff).dense()
+            out += _string_dense(letters, coeff)
         return out
 
     def to_text(self) -> str:
         if not self.terms:
             return "0.0*" + "I" * self.n_qubits
-        parts = [
-            PauliString(self.n_qubits, letters, coeff).to_text()
-            for letters, coeff in sorted(self.terms.items())
-        ]
-        return " + ".join(parts)
+        return " + ".join(
+            f"{_format_coeff(coeff)}*{letters}" for letters, coeff in sorted(self.terms.items())
+        )
 
     def _check_compatible(self, other: "PauliSum") -> None:
         if self.n_qubits != other.n_qubits:

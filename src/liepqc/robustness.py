@@ -54,15 +54,13 @@ def random_skew(n_qubits: int, rng: np.random.Generator, hs_norm: float = 1.0) -
     return -1j * h
 
 
-def trial_batch(
-    n_qubits: int, n_trials: int, seed: int, t_max: float = 2.0
-) -> list[PerturbationTrial]:
-    """Seeded batch of random (X, dX, t) bound evaluations."""
+def trial_batch(n_qubits: int, n_trials: int, seed: int) -> list[PerturbationTrial]:
+    """Seeded batch of random (X, dX, t) bound evaluations, t in [1e-3, 2)."""
     trials = []
     for k in range(n_trials):
         rng = rng_from(seed, "perturbation", k)
         x = random_skew(n_qubits, rng, hs_norm=rng.uniform(0.2, 2.0))
         dx = random_skew(n_qubits, rng, hs_norm=rng.uniform(0.001, 0.2))
-        t = rng.uniform(1e-3, t_max)
+        t = rng.uniform(1e-3, 2.0)
         trials.append(perturbation_bound_check(x, dx, t))
     return trials

@@ -21,7 +21,7 @@ import numbers
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -127,7 +127,12 @@ class SweepConfig:
             "qubit_range": list(self.qubit_range),
             "depth": self.depth,
             "methods": list(self.methods),
-            "sampling": self.sampling.to_json(),
+            # each cell seeds its draws from master_seed, so sampling.seed is not a key
+            "sampling": {
+                "distribution": self.sampling.distribution,
+                "n_samples": self.sampling.n_samples,
+                "sigma": self.sampling.sigma,
+            },
             "loss": self.loss.to_json(),
             "random_keep": self.random_keep,
             "lie_depth_cap": self.lie_depth_cap,
@@ -141,8 +146,8 @@ class SweepConfig:
 
 
 _CONFIG_KEYS = set(SweepConfig().to_json().keys())
-_SAMPLING_KEYS = {"distribution", "n_samples", "seed", "sigma"}
-_LOSS_KEYS = {"kind", "observable", "tfim_params"}
+_SAMPLING_KEYS = set(SweepConfig().to_json()["sampling"].keys())
+_LOSS_KEYS = {"kind", "tfim_params"}
 
 
 def config_from_dict(data: dict) -> SweepConfig:
@@ -170,8 +175,6 @@ def config_from_dict(data: dict) -> SweepConfig:
                 raise ConfigError(f"unknown loss keys: {sorted(bad)}")
             if "tfim_params" in loss:
                 loss["tfim_params"] = tuple(loss["tfim_params"])
-            if "observable" in loss:
-                raise ConfigError("inline observables are not supported in config files")
             kwargs["loss"] = LossSpec(**loss)
         return SweepConfig(**kwargs)
     except ConfigError:
@@ -272,12 +275,7 @@ def run_cell(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    sampling = SamplingSpec(
-        distribution=config.sampling.distribution,
-        n_samples=config.sampling.n_samples,
-        seed=seed,
-        sigma=config.sampling.sigma,
-    )
+    sampling = replace(config.sampling, seed=seed)
     variance = gradient_variance(model, config.loss, sampling)
     metric = variance.metric
 

@@ -15,6 +15,7 @@ that J^T J reproduces the Fubini-Study metric exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,37 +48,30 @@ def tfim_hamiltonian(n_qubits: int, coupling: float = 1.0, fieldstrength: float 
 class LossSpec:
     """Loss over the final state.
 
-    kind='observable_expectation' measures ``observable`` (default Z on the
-    first qubit); kind='vqe_tfim' measures the TFIM energy with couplings
+    kind='observable_expectation' measures Z on the first qubit;
+    kind='vqe_tfim' measures the TFIM energy with couplings
     ``tfim_params = (J, h)``.
     """
 
     kind: str = "observable_expectation"
-    observable: PauliSum | None = None
     tfim_params: tuple[float, float] = (1.0, 1.0)
+    # no loss takes a custom observable; bench/layertrace.py still reads this
+    observable: ClassVar[None] = None
 
     def __post_init__(self):
         if self.kind not in ("observable_expectation", "vqe_tfim"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.observable is not None and not isinstance(self.observable, PauliSum):
-            raise TypeError("observable must be a PauliSum")
 
     def observable_dense(self, n_qubits: int) -> np.ndarray:
         if self.kind == "vqe_tfim":
             return tfim_hamiltonian(n_qubits, *self.tfim_params).dense()
-        if self.observable is None:
-            letters = "Z" + "I" * (n_qubits - 1)
-            return PauliSum.from_letters(n_qubits, letters).dense()
-        if self.observable.n_qubits != n_qubits:
-            raise ValueError("observable qubit count does not match circuit")
-        return self.observable.dense()
+        letters = "Z" + "I" * (n_qubits - 1)
+        return PauliSum.from_letters(n_qubits, letters).dense()
 
     def to_json(self) -> dict:
         data: dict = {"kind": self.kind}
         if self.kind == "vqe_tfim":
             data["tfim_params"] = list(self.tfim_params)
-        elif self.observable is not None:
-            data["observable"] = self.observable.to_text()
         return data
 
 
@@ -198,9 +192,7 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
         frame = circuit.tangent_frame(sampling.draw(num, s))
         metrics[s] = frame_metric(frame)
         grads[s] = _frame_gradient(frame, obs)
-    metric = metric_report(
-        pairwise_mean(metrics), n_samples=sampling.n_samples, sample_spec=sampling
-    )
+    metric = metric_report(pairwise_mean(metrics), sampling)
     centered = grads - pairwise_mean(grads)
     factor = sampling.n_samples / (sampling.n_samples - 1)
     per_component = factor * pairwise_mean(centered ** 2)

@@ -26,7 +26,7 @@ from . import linalg
 from .circuits import CircuitSpec, ParamSlot, build_ansatz
 from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
 from .lie import apply_random_trunc, lie_closure, orthonormalize_sums
-from .pauli import PauliString, PauliSum, all_strings, SINGLE_QUBIT
+from .pauli import PauliSum, all_strings, SINGLE_QUBIT
 from .robustness import trial_batch
 from .sweep import SweepConfig, cell_seed, run_sweep, records_csv_text
 from .trainability import (
@@ -56,15 +56,14 @@ def _dense_string_table(n_qubits: int) -> list[np.ndarray]:
     return mats
 
 
-def brute_force_closure_dim(
-    generators: list[np.ndarray], tol: float = 1e-10, max_rounds: int = 64
-) -> int:
+def brute_force_closure_dim(generators: list[np.ndarray]) -> int:
     """Dimension of the bracket closure by exhaustive dense expansion.
 
     Every operator is expanded against the full Pauli-string table; linear
     independence is tracked by orthonormal projection of the real coefficient
-    vectors.  All pairs of the current spanning set are bracketed until a
-    round adds nothing.
+    vectors, a residual norm above 1e-10 counting as new.  All pairs of the
+    current spanning set are bracketed until a round adds nothing, for at
+    most 64 rounds.
     """
     n_qubits = int(np.log2(generators[0].shape[0]))
     table = _dense_string_table(n_qubits)
@@ -84,7 +83,7 @@ def brute_force_closure_dim(
             for b in ortho:
                 v = v - (b @ v) * b
         norm = np.linalg.norm(v)
-        if norm > tol:
+        if norm > 1e-10:
             ortho.append(v / norm)
             ops.append(op)
             return True
@@ -93,7 +92,7 @@ def brute_force_closure_dim(
     for g in generators:
         admit(np.asarray(g, dtype=complex))
 
-    for _ in range(max_rounds):
+    for _ in range(64):
         grew = False
         current = list(ops)
         for i in range(len(current)):
@@ -435,18 +434,17 @@ def check_determinism_and_budget(
 
 
 def check_pauli_algebra(seed: int = 11) -> dict:
-    """Dense faithfulness and associativity of the string product."""
+    """Dense faithfulness of the operator product the closure brackets with."""
     worst = 0.0
     for k in range(200):
         rng = rng_from(seed, "pauli", k)
         n = int(rng.integers(1, 5))
         pool = all_strings(n)
-        a = PauliString(n, pool[rng.integers(len(pool))], complex(rng.normal(), rng.normal()))
-        b = PauliString(n, pool[rng.integers(len(pool))], complex(rng.normal(), rng.normal()))
-        from .pauli import pauli_product
-
-        prod = pauli_product(a, b)
-        worst = max(worst, float(np.max(np.abs(prod.dense() - a.dense() @ b.dense()))))
+        a = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
+                                  complex(rng.normal(), rng.normal()))
+        b = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
+                                  complex(rng.normal(), rng.normal()))
+        worst = max(worst, float(np.max(np.abs((a * b).dense() - a.dense() @ b.dense()))))
     return _check("pauli_dense_faithful", worst <= 1e-12, 1e-12 - worst,
                   f"200 pairs, worst {worst:.2e}")
 

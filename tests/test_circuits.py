@@ -16,7 +16,8 @@ from liepqc.circuits import (
     cz_ring_matrix,
 )
 from liepqc.lie import apply_lie_trunc, apply_random_trunc, lie_closure
-from liepqc.pauli import PauliString, PauliSum, all_strings
+from liepqc.pauli import PauliSum, all_strings
+from liepqc.util import complex_to_json
 
 
 def slot(n, letters, coeff=1.0):
@@ -48,8 +49,8 @@ def test_evolve_derived_dense_product():
     # oracle: explicit 4x4 matrix product with an independent expm
     c = CircuitSpec(2, [slot(2, "ZI"), slot(2, "XX")])
     theta = np.array([0.3, 0.7])
-    u = scipy_expm(-1j * 0.7 * PauliString(2, "XX").dense()) @ scipy_expm(
-        -1j * 0.3 * PauliString(2, "ZI").dense()
+    u = scipy_expm(-1j * 0.7 * PauliSum.from_letters(2, "XX").dense()) @ scipy_expm(
+        -1j * 0.3 * PauliSum.from_letters(2, "ZI").dense()
     )
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     np.testing.assert_allclose(c.evolve(theta), u @ psi0, atol=1e-12)
@@ -98,8 +99,8 @@ def test_partials_derived_product_rule_oracle():
     # oracle: differentiate the explicit matrix product term by term
     c = CircuitSpec(2, [slot(2, "ZI"), slot(2, "XX")])
     theta = np.array([0.3, 0.7])
-    zi = PauliString(2, "ZI").dense()
-    xx = PauliString(2, "XX").dense()
+    zi = PauliSum.from_letters(2, "ZI").dense()
+    xx = PauliSum.from_letters(2, "XX").dense()
     u1 = scipy_expm(-1j * theta[0] * zi)
     u2 = scipy_expm(-1j * theta[1] * xx)
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
@@ -189,12 +190,13 @@ def suffix_product_frame(c, theta):
     fixed gates use their own dense arithmetic.
     """
     def string_form(op):
-        if not isinstance(op, ParamSlot) or not isinstance(op.generator, PauliSum):
+        if not isinstance(op, ParamSlot):
             return None
         single = op.generator.single_string()
-        if single is None or single.coefficient.imag != 0.0:
+        if single is None or single[1].imag != 0.0:
             return None
-        return float(single.coefficient.real), PauliString(c.n_qubits, single.letters).dense()
+        letters, coeff = single
+        return float(coeff.real), PauliSum.from_letters(c.n_qubits, letters).dense()
 
     thetas, k = [], 0
     for op in c.ops:
@@ -264,11 +266,10 @@ def random_unitary(rng, dim):
 
 
 def test_frame_dense_paths_match_suffix_product_oracle():
-    # dense-generator slots, multi-string sums and non-diagonal fixed gates
+    # a slot on all 64 strings, multi-string sums and non-diagonal fixed gates
     rng = np.random.default_rng(22)
     n = 3
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    dense_gen = (a + a.conj().T) / 4
+    dense_gen = PauliSum(n, {w: rng.normal() / 4 for w in all_strings(n)})
     multi = PauliSum(n, {"XYI": 0.7, "IZZ": -0.4, "YII": 0.2})
     for last in (slot(n, "IXI"), FixedGate(random_unitary(rng, 8), "u"),
                  FixedGate(cz_ring_matrix(n), "cz")):
@@ -292,7 +293,7 @@ def test_string_slot_gather_bytes_match_dense_product():
                   1j * np.eye(dim, dtype=complex)[1]]
         for letters in all_strings(n):
             s = slot(n, letters, 0.5)
-            p = PauliString(n, letters).dense()
+            p = PauliSum.from_letters(n, letters).dense()
             for psi in states:
                 assert s.apply_generator(psi).tobytes() == (-1j * 0.5 * (p @ psi)).tobytes()
                 for t in (0.7, -2.5):
@@ -330,7 +331,7 @@ def test_full_hea_param_count_n6_depth2():
 def test_full_hea_span_dimension_derived():
     # oracle: rank of the HS Gram matrix of the distinct generators
     c = build_ansatz("full_hea", 3, 1)
-    gens = [s.dense_generator() for s in c.param_slots]
+    gens = [s.generator.dense() for s in c.param_slots]
     gram = np.array([[np.trace(a.conj().T @ b).real for b in gens] for a in gens])
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 6
     assert c.num_params == 6
@@ -380,9 +381,47 @@ def test_circuit_json_round_trip():
     assert data["slots"][0] == {"kind": "param", "pauli": "YI"}
 
 
-def test_circuit_json_dense_generator():
-    gen = PauliSum(1, {"X": 0.6, "Z": 0.8}).dense()
-    c = CircuitSpec(1, [ParamSlot(gen)])
-    back = circuit_from_json(circuit_to_json(c))
-    theta = np.array([0.5])
-    np.testing.assert_allclose(back.evolve(theta), c.evolve(theta), atol=1e-12)
+def _matrix_slot_document():
+    """One qubit: a "matrix" param slot for 0.6 X + 0.8 Z, then a "pauli" Z slot."""
+    h = 0.6 * PauliSum.from_letters(1, "X").dense() + 0.8 * PauliSum.from_letters(1, "Z").dense()
+    return h, {
+        "n_qubits": 1,
+        "slots": [{"kind": "param", "matrix": complex_to_json(h)},
+                  {"kind": "param", "pauli": "Z"}],
+    }
+
+
+def test_circuit_json_matrix_slot_loads_as_pauli_sum():
+    h, data = _matrix_slot_document()
+    c = circuit_from_json(data)
+    gen = c.param_slots[0].generator
+    assert gen.terms == pytest.approx({"X": 0.6, "Z": 0.8})
+    theta = np.array([0.5, 0.0])
+    want = scipy_expm(-0.5j * h) @ np.array([1, 0], dtype=complex)
+    np.testing.assert_allclose(c.evolve(theta), want, atol=1e-12)
+
+
+def test_circuit_json_matrix_slot_rejects_bad_matrices():
+    for matrix in (np.array([[0, 1], [0, 0]]), np.eye(4)):   # not Hermitian; wrong shape
+        data = {"n_qubits": 1, "slots": [{"kind": "param", "matrix": complex_to_json(matrix)}]}
+        with pytest.raises(ValueError):
+            circuit_from_json(data)
+
+
+def test_circuit_json_matrix_slot_round_trip():
+    _, data = _matrix_slot_document()
+    parent = circuit_from_json(data)
+    data_back = circuit_to_json(parent)
+    assert data_back["slots"][0]["kind"] == "param" and "pauli" in data_back["slots"][0]
+    back = circuit_from_json(data_back)
+    assert back.param_slots[0].generator.terms == parent.param_slots[0].generator.terms
+    theta = np.array([0.5, -1.1])
+    assert back.evolve(theta).tobytes() == parent.evolve(theta).tobytes()
+    assert lie_closure(back.skew_generators()).dim == lie_closure(parent.skew_generators()).dim
+
+
+def test_slot_generator_must_be_a_hermitian_pauli_sum():
+    with pytest.raises(TypeError):
+        ParamSlot(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        ParamSlot(PauliSum.from_letters(1, "X", 1j))

@@ -92,7 +92,7 @@ def test_closure_dimension_invariant_under_remixing():
                 break
         mixed = []
         for row in m:
-            acc = PauliSum.zero(2)
+            acc = PauliSum(2)
             for coeff, g in zip(row, gens):
                 acc = acc + float(coeff) * g
             mixed.append(acc)
@@ -110,6 +110,15 @@ def test_closure_cap_flags_defect():
 def test_closure_requires_skew():
     with pytest.raises(ValueError):
         lie_closure([PauliSum.from_letters(1, "X", 1.0)])
+
+
+def test_closure_rejects_a_span_that_underflows():
+    # |c|^2 underflows to 0, so the generator's HS norm is 0: an empty span,
+    # which raises like an empty generator list instead of dim 0, converged
+    with pytest.raises(ValueError):
+        lie_closure([PauliSum(1, {"X": 1.585e-301j})])
+    with pytest.raises(ValueError):
+        lie_closure([])
 
 
 def test_closure_matches_oracle_on_random_sets():
@@ -234,7 +243,7 @@ def test_reassignment_preserves_slot_count():
 
 def _single_exp_state(model, c):
     """exp(sum_j c_j (-i H_j)) |psi0> over the model's slot generators."""
-    skew = sum(cj * (-1j) * slot.dense_generator() for cj, slot in zip(c, model.param_slots))
+    skew = sum(cj * (-1j) * slot.generator.dense() for cj, slot in zip(c, model.param_slots))
     return expm_skew(skew) @ model.initial_state
 
 

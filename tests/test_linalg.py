@@ -14,11 +14,11 @@ from liepqc.linalg import (
     is_skew_hermitian,
     op_norm,
 )
-from liepqc.pauli import PauliString, PauliSum, all_strings
+from liepqc.pauli import PauliSum, all_strings
 
-X = PauliString(1, "X").dense()
-Y = PauliString(1, "Y").dense()
-Z = PauliString(1, "Z").dense()
+X = PauliSum.from_letters(1, "X").dense()
+Y = PauliSum.from_letters(1, "Y").dense()
+Z = PauliSum.from_letters(1, "Z").dense()
 
 
 def _random_skew(rng, dim):
@@ -32,12 +32,12 @@ def test_commutator_su2():
 
 def test_commutator_derived_two_qubit():
     # oracle: expand both operator orders densely
-    xx = PauliString(2, "XX").dense()
-    zi = PauliString(2, "ZI").dense()
+    xx = PauliSum.from_letters(2, "XX").dense()
+    zi = PauliSum.from_letters(2, "ZI").dense()
     want = xx @ zi - zi @ xx
     got = commutator(xx, zi)
     np.testing.assert_allclose(got, want, atol=1e-15)
-    np.testing.assert_allclose(got, -2j * PauliString(2, "YX").dense(), atol=1e-15)
+    np.testing.assert_allclose(got, -2j * PauliSum.from_letters(2, "YX").dense(), atol=1e-15)
 
 
 def test_commutator_antisymmetry():
@@ -48,7 +48,7 @@ def test_commutator_antisymmetry():
 
 def test_commutator_dim_mismatch():
     with pytest.raises(ValueError):
-        commutator(X, PauliString(2, "XX").dense())
+        commutator(X, PauliSum.from_letters(2, "XX").dense())
 
 
 def test_commutator_preserves_skew():
@@ -75,7 +75,7 @@ def test_hermitian_eig_trivial():
 
 
 def test_hermitian_eig_derived_case():
-    h = PauliString(2, "XX").dense() + PauliString(2, "ZI").dense()
+    h = PauliSum.from_letters(2, "XX").dense() + PauliSum.from_letters(2, "ZI").dense()
     oracle = np.sort(np.linalg.eigvalsh(h))[::-1]
     vals, vecs = hermitian_eig(h)
     np.testing.assert_allclose(vals, oracle, atol=1e-12)
@@ -141,7 +141,7 @@ def test_expm_rejects_non_skew():
 
 
 def test_op_norm_values():
-    assert op_norm(PauliString(2, "XY").dense()) == pytest.approx(1.0)
+    assert op_norm(PauliSum.from_letters(2, "XY").dense()) == pytest.approx(1.0)
     assert op_norm(3.0 * np.eye(4)) == pytest.approx(3.0)
     # oracle: largest singular value from the full SVD
     m = X + Z

@@ -5,35 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepqc.circuits import ParamSlot
-from liepqc.pauli import (
-    PauliString,
-    PauliSum,
-    all_strings,
-    pauli_product,
-)
+from liepqc.pauli import PauliSum, all_strings
+
+
+def word(letters, coeff=1.0):
+    return PauliSum.from_letters(len(letters), letters, coeff)
 
 
 def test_product_xy_is_iz():
-    p = pauli_product(PauliString(1, "X"), PauliString(1, "Y"))
-    assert p.letters == "Z"
-    assert p.coefficient == 1j
+    assert (word("X") * word("Y")).terms == {"Z": 1j}
 
 
 def test_product_involution():
-    p = pauli_product(PauliString(1, "X"), PauliString(1, "X"))
-    assert p.letters == "I"
-    assert p.coefficient == 1.0
+    assert (word("X") * word("X")).terms == {"I": 1.0}
 
 
 def test_product_disjoint_supports():
-    p = pauli_product(PauliString(2, "XI"), PauliString(2, "IY"))
-    assert p.letters == "XY"
-    assert p.coefficient == 1.0
+    assert (word("XI") * word("IY")).terms == {"XY": 1.0}
 
 
 def test_product_qubit_mismatch_raises():
     with pytest.raises(ValueError):
-        pauli_product(PauliString(1, "X"), PauliString(2, "XY"))
+        word("X") * word("XY")
 
 
 def test_dense_faithful_random_pairs():
@@ -41,13 +34,11 @@ def test_dense_faithful_random_pairs():
     for _ in range(200):
         n = int(rng.integers(1, 5))
         pool = all_strings(n)
-        a = PauliString(n, pool[rng.integers(len(pool))],
-                        complex(rng.normal(), rng.normal()))
-        b = PauliString(n, pool[rng.integers(len(pool))],
-                        complex(rng.normal(), rng.normal()))
-        prod = pauli_product(a, b)
-        err = np.max(np.abs(prod.dense() - a.dense() @ b.dense()))
-        assert err <= 1e-12 * max(1.0, abs(a.coefficient) * abs(b.coefficient))
+        ca, cb = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        a = word(pool[rng.integers(len(pool))], ca)
+        b = word(pool[rng.integers(len(pool))], cb)
+        err = np.max(np.abs((a * b).dense() - a.dense() @ b.dense()))
+        assert err <= 1e-12 * max(1.0, abs(ca) * abs(cb))
 
 
 def _words(n: int):
@@ -58,15 +49,16 @@ def _words(n: int):
 def _string_pairs(draw):
     n = draw(st.integers(1, 3))
     coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-    return tuple(PauliString(n, draw(_words(n)), draw(coefficients)) for _ in range(2))
+    return tuple((draw(_words(n)), draw(coefficients)) for _ in range(2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_string_pairs())
 def test_product_matches_dense_property(pair):
-    a, b = pair
-    err = np.max(np.abs(pauli_product(a, b).dense() - a.dense() @ b.dense()))
-    assert err <= 1e-12 * max(1.0, abs(a.coefficient) * abs(b.coefficient))
+    (wa, ca), (wb, cb) = pair
+    a, b = word(wa, ca), word(wb, cb)
+    err = np.max(np.abs((a * b).dense() - a.dense() @ b.dense()))
+    assert err <= 1e-12 * max(1.0, abs(ca) * abs(cb))
 
 
 @st.composite
@@ -98,21 +90,17 @@ def test_product_associative():
     rng = np.random.default_rng(8)
     pool = all_strings(3)
     for _ in range(50):
-        a, b, c = (PauliString(3, pool[rng.integers(len(pool))]) for _ in range(3))
-        left = pauli_product(pauli_product(a, b), c)
-        right = pauli_product(a, pauli_product(b, c))
-        assert left.letters == right.letters
-        assert left.coefficient == right.coefficient
+        a, b, c = (word(pool[rng.integers(len(pool))]) for _ in range(3))
+        assert ((a * b) * c).terms == (a * (b * c)).terms
 
 
 def test_unit_string_dense_props():
     for letters in ("X", "YZ", "XIZ"):
-        p = PauliString(len(letters), letters)
-        m = p.dense()
+        m = word(letters).dense()
         assert np.allclose(m, m.conj().T)                       # Hermitian
         assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]))  # unitary
         assert abs(np.trace(m)) < 1e-14                         # traceless
-    ident = PauliString(2, "II").dense()
+    ident = word("II").dense()
     assert np.trace(ident) == 4.0
 
 
@@ -122,7 +110,7 @@ class TestPauliSum:
         z = PauliSum.from_letters(3, "ZII")
         assert x.hs_inner(x) == 8.0           # 2^3
         assert x.hs_inner(z) == 0.0
-        assert PauliSum.zero(3).hs_inner(z) == 0.0
+        assert PauliSum(3).hs_inner(z) == 0.0
 
     def test_hermiticity_flags(self):
         h = PauliSum(2, {"XI": 1.0, "ZZ": -0.5})
@@ -155,7 +143,7 @@ class TestPauliSum:
         assert PauliSum.from_letters(3, "XIZ").to_text() == "1.0*XIZ"
 
     def test_single_string_detection(self):
-        assert PauliSum.from_letters(2, "XY", 2.0).single_string().letters == "XY"
+        assert PauliSum.from_letters(2, "XY", 2.0).single_string() == ("XY", 2.0)
         assert PauliSum(2, {"XY": 1.0, "ZI": 1.0}).single_string() is None
 
     def test_qubit_mismatch_raises(self):
@@ -170,7 +158,7 @@ def test_rotation_dense_identity_at_zero():
 
 def test_rotation_dense_matches_series():
     theta = 0.37
-    p = PauliString(2, "YX").dense()
+    p = word("YX").dense()
     got = ParamSlot(PauliSum.from_letters(2, "YX")).matrix(theta)
     want = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * p
     np.testing.assert_allclose(got, want, atol=1e-15)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from liepqc.circuits import CircuitSpec, ParamSlot, build_ansatz
-from liepqc.pauli import PauliString
+from liepqc.circuits import CircuitSpec, ParamSlot, build_ansatz, dense_to_pauli_sum
+from liepqc.pauli import PauliSum
 from liepqc.robustness import perturbation_bound_check, random_skew, trial_batch
 from liepqc.util import rng_from
 
-Z = PauliString(1, "Z").dense()
-X = PauliString(1, "X").dense()
+Z = PauliSum.from_letters(1, "Z").dense()
+X = PauliSum.from_letters(1, "X").dense()
 
 
 def test_zero_perturbation():
@@ -62,8 +62,8 @@ def test_loss_deviation_within_bound_implied_estimate():
     ops = []
     for i, op in enumerate(base.ops):
         if isinstance(op, ParamSlot):
-            noise = 1j * random_skew(3, rng_from(21, "generator_noise", i))
-            op = ParamSlot(op.dense_generator() + eps * noise)
+            noise = dense_to_pauli_sum(1j * random_skew(3, rng_from(21, "generator_noise", i)), 3)
+            op = ParamSlot(op.generator + eps * noise)
         ops.append(op)
     noisy = CircuitSpec(3, ops)
     loss = LossSpec()
@@ -77,8 +77,8 @@ def test_loss_deviation_within_bound_implied_estimate():
         k = 0
         for op_base, op_noisy in zip(base.ops, noisy.ops):
             if isinstance(op_base, ParamSlot):
-                x = -1j * op_base.dense_generator()
-                dx = -1j * (op_noisy.dense_generator() - op_base.dense_generator())
+                x = -1j * op_base.generator.dense()
+                dx = -1j * (op_noisy.generator - op_base.generator).dense()
                 t = abs(theta[k]) + 1e-12
                 budget += perturbation_bound_check(x, dx, t).rhs
                 k += 1

@@ -408,6 +408,9 @@ CONFIG_ERRORS = {
     "string_sigma": {"sampling": {"sigma": "a"}},
     "nan_sigma": {"sampling": {"sigma": float("nan")}},
     "lie_dim_budget_below_span": {"qubit_range": [2, 3], "lie_dim_budget": 5},
+    # cells seed their draws from master_seed; losses measure Z_0 or the TFIM
+    "sampling_seed": {"sampling": {"seed": 1}},
+    "loss_observable": {"loss": {"observable": "1.0*Z"}},
 }
 
 
@@ -484,7 +487,7 @@ def test_cli_sweep_with_config_file(tmp_path):
     cfg_file.write_text(json.dumps({
         "qubit_range": [2],
         "methods": ["full", "lie_trunc"],
-        "sampling": {"n_samples": 6, "seed": 1},
+        "sampling": {"n_samples": 6},
         "opt_steps": 0,
         "out_dir": str(tmp_path / "out"),
     }))
@@ -492,3 +495,7 @@ def test_cli_sweep_with_config_file(tmp_path):
     lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+    written = json.loads((tmp_path / "out" / "records.json").read_text())["config"]
+    assert written["sampling"] == {
+        "distribution": "uniform_periodic", "n_samples": 6, "sigma": 1.0,
+    }

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepqc.util import (
     complex_from_json,
@@ -63,3 +64,21 @@ def test_complex_json_round_trip_matrix():
 def test_complex_json_shape_is_re_im_pairs():
     data = complex_to_json(np.array([1 + 2j]))
     assert data == [[1.0, 2.0]]
+
+
+def _pairing_reference(rows: list) -> float:
+    """Pairwise sum as a recursion on Python lists: pair neighbours, carry an odd last."""
+    if len(rows) == 1:
+        return rows[0]
+    paired = [rows[i] + rows[i + 1] for i in range(0, len(rows) - 1, 2)]
+    if len(rows) % 2:
+        paired.append(rows[-1])
+    return _pairing_reference(paired)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=1, max_size=64))
+def test_pairwise_sum_matches_recursive_pairing_property(values):
+    got = pairwise_sum(np.array(values))
+    want = _pairing_reference([np.float64(v) for v in values])
+    assert got.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ import pytest
 import liepqc.verify as verify_mod
 from liepqc.circuits import CircuitSpec, ParamSlot, TangentFrame
 from liepqc.geometry import SamplingSpec, fs_metric_at
-from liepqc.pauli import PauliSum, PauliString
+from liepqc.pauli import PauliSum
 from liepqc.sweep import SweepConfig, run_sweep
 from liepqc.verify import (
     ACCEPTANCE_CHECKS,
@@ -28,12 +28,12 @@ from liepqc.lie import lie_closure
 
 
 def test_oracle_known_algebras():
-    x = PauliString(1, "X").dense()
-    z = PauliString(1, "Z").dense()
+    x = PauliSum.from_letters(1, "X").dense()
+    z = PauliSum.from_letters(1, "Z").dense()
     assert brute_force_closure_dim([1j * x]) == 1
     assert brute_force_closure_dim([1j * x, 1j * z]) == 3   # su(2)
     # {X1, Z1, X2, Z2, Z1Z2} generates su(4)
-    gens = [1j * PauliString(2, w).dense() for w in ("XI", "ZI", "IX", "IZ", "ZZ")]
+    gens = [1j * PauliSum.from_letters(2, w).dense() for w in ("XI", "ZI", "IX", "IZ", "ZZ")]
     assert brute_force_closure_dim(gens) == 15
 
 
