@@ -24,6 +24,18 @@ output entry is one product with a factor of +-1 or +-i, and BLAS sums start
 from +0 (see :func:`_as_blas_sum`).  Every remaining dense product has the
 operands it has in the plain suffix-product frame that the tests keep as an
 oracle, so the frame matches that oracle bit for bit.
+
+``tangent_frame`` also takes an (S, L) stack of parameter points and runs
+both passes on all S at once: the states become (S, dim) and ``acc`` an
+(S, dim, dim) stack.  Each point keeps the bits of its own frame, because
+every step does the single frame's arithmetic slice by slice and nothing
+reduces across the stack.  Elementwise ufuncs, the cosine and sine of a
+column of angles among them, compute each entry as they compute it for one
+point; numpy's stacked matmul calls the single product's BLAS routine once
+per slice, gemm for matrix products and gemv for matrix-vector products
+(see :func:`~liepqc.linalg.matvec`).  The stacked-frame tests check this
+byte for byte.  One point keeps its scalar angles, which is the faster path
+for the descent's one point per step.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from functools import cache
 import numpy as np
 
 from .pauli import PauliSum, all_strings
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, matvec
 
 NORM_TOL = 1e-10
 
@@ -86,31 +98,32 @@ class ParamSlot:
             self._dense_h = generator.dense()
             self._eig_cache = hermitian_eig(self._dense_h)
 
-    def matrix(self, theta: float) -> np.ndarray:
-        """Dense exp(-i theta H)."""
+    def matrix(self, theta) -> np.ndarray:
+        """Dense exp(-i theta H); an (S, 1, 1) stack of angles gives S matrices."""
         if self._string_cache is not None:
             c, p = self._string_cache
             return np.cos(c * theta) * _identity(p.shape[0]) - 1j * np.sin(c * theta) * p
         vals, vecs = self._eig_cache
         return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
-    def apply(self, theta: float, state: np.ndarray) -> np.ndarray:
+    def apply(self, theta, state: np.ndarray) -> np.ndarray:
+        """exp(-i theta H) |state>; (S, 1) angles act on an (S, dim) stack of states."""
         if self._string_cache is not None:
             c = self._string_cache[0]
             return np.cos(c * theta) * state - 1j * np.sin(c * theta) * self._string_apply(state)
         vals, vecs = self._eig_cache
-        return vecs @ (np.exp(-1j * theta * vals) * (vecs.conj().T @ state))
+        return matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state))
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
-        """-i H |state>."""
+        """-i H |state>, for one state or an (S, dim) stack."""
         if self._string_cache is not None:
             return -1j * self._string_cache[0] * self._string_apply(state)
-        return -1j * (self._dense_h @ state)
+        return -1j * matvec(self._dense_h, state)
 
     def _string_apply(self, state: np.ndarray) -> np.ndarray:
         """P |state> for the slot's unit Pauli string P, as a gather."""
         cols, phases = self._gather
-        return _as_blas_sum(phases * state[cols])
+        return _as_blas_sum(phases * state.take(cols, axis=-1))
 
     def generator_text(self) -> str:
         single = self.generator.single_string()
@@ -143,7 +156,7 @@ class FixedGate:
     def apply(self, state: np.ndarray) -> np.ndarray:
         if self.signs is not None:
             return _as_blas_sum(self.signs * state)
-        return self.matrix_value @ state
+        return matvec(self.matrix_value, state)
 
 
 @dataclass
@@ -152,7 +165,8 @@ class TangentFrame:
 
     ``projected`` removes the global-phase component of each column:
     <psi | projected_k> = 0, which is the tangent space of the projective
-    state manifold.
+    state manifold.  The frame of an (S, L) stack of points carries a
+    leading axis of S on every field.
     """
 
     state: np.ndarray
@@ -161,8 +175,8 @@ class TangentFrame:
 
     @classmethod
     def build(cls, state: np.ndarray, partials: np.ndarray) -> "TangentFrame":
-        overlaps = state.conj() @ partials
-        projected = partials - np.outer(state, overlaps)
+        overlaps = (state.conj()[..., None, :] @ partials)[..., 0, :]
+        projected = partials - state[..., :, None] * overlaps[..., None, :]
         return cls(state=state, partials=partials, projected=projected)
 
 
@@ -215,12 +229,12 @@ class CircuitSpec:
         """i*H_k for all slots, as exact Pauli sums."""
         return [1j * slot.generator for slot in self.param_slots]
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+    def _check_theta(self, theta: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """theta as floats, of shape (L,), or (S, L) where ``stacked``."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.num_params,):
-            raise ValueError(
-                f"theta has length {theta.shape}, circuit expects {self.num_params}"
-            )
+        if theta.ndim not in ((1, 2) if stacked else (1,)) or theta.shape[-1] != self.num_params:
+            expected = f"({self.num_params},)" + (f" or (S, {self.num_params})" if stacked else "")
+            raise ValueError(f"theta has shape {theta.shape}, circuit expects {expected}")
         return theta
 
     def evolve(self, theta: np.ndarray) -> np.ndarray:
@@ -236,33 +250,43 @@ class CircuitSpec:
         return state
 
     def tangent_frame(self, theta: np.ndarray) -> TangentFrame:
-        theta = self._check_theta(theta)
+        """Frame at one parameter point, or at each row of an (S, L) stack.
+
+        A stack gives a frame whose fields carry a leading axis of S draws;
+        each draw has the bits of its own single-point frame.
+        """
+        theta = self._check_theta(theta, stacked=True)
         n_ops = len(self.ops)
+        batch = theta.shape[:-1]
+        # angle k as a scalar, or as an (S, 1) column against the (S, dim)
+        # states and an (S, 1, 1) one against the (S, dim, dim) products
+        fwd = theta if not batch else theta.T[..., None]
+        bwd = theta if not batch else fwd[..., None]
 
         # forward pass: state after each op
-        states = np.empty((n_ops + 1, self.dim), dtype=complex)
+        states = np.empty((n_ops + 1, *batch, self.dim), dtype=complex)
         states[0] = self.initial_state
         k = 0
         for i, op in enumerate(self.ops):
             if isinstance(op, ParamSlot):
-                states[i + 1] = op.apply(theta[k], states[i])
+                states[i + 1] = op.apply(fwd[k], states[i])
                 k += 1
             else:
                 states[i + 1] = op.apply(states[i])
 
         # backward pass: acc is the product of the ops after op i, None while
         # that is the identity; a slot's column is taken before acc absorbs it
-        partials = np.empty((self.dim, self.num_params), dtype=complex)
+        partials = np.empty((*batch, self.dim, self.num_params), dtype=complex)
         acc = None
         for i in range(n_ops - 1, -1, -1):
             op = self.ops[i]
             if isinstance(op, ParamSlot):
                 k -= 1
                 col = op.apply_generator(states[i + 1])
-                partials[:, k] = _as_blas_sum(col) if acc is None else acc @ col
+                partials[..., k] = _as_blas_sum(col) if acc is None else matvec(acc, col)
                 if k == 0:
                     break           # the ops before the first slot enter no column
-                m = op.matrix(theta[k])
+                m = op.matrix(bwd[k])
             elif acc is not None and op.signs is not None:
                 acc = _as_blas_sum(acc * op.signs)
                 continue

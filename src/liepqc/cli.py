@@ -39,6 +39,12 @@ def _load_circuit(path: str):
         return None
 
 
+def _flag_error(flag: str, value, exc: ValueError) -> int:
+    """Report a flag value the library rejects as an input error (exit 2)."""
+    print(f"input error: {flag} {value}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_config(path: str | None):
     """The sweep config in a JSON file (the default one without a path), or
     None after a ``config error:`` line on stderr.
@@ -102,7 +108,10 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
     if circuit is None:
         return 2
-    basis = lie_closure(circuit.skew_generators(), max_dim=args.max_dim)
+    try:
+        basis = lie_closure(circuit.skew_generators(), max_dim=args.max_dim)
+    except ValueError as exc:
+        return _flag_error("--max-dim", args.max_dim, exc)
     print(json.dumps(basis.to_json(), indent=2))
     return 0
 
@@ -113,9 +122,11 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
     if circuit is None:
         return 2
-    rep = empirical_metric(
-        circuit, SamplingSpec(n_samples=args.samples, seed=args.seed)
-    )
+    try:
+        sampling = SamplingSpec(n_samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        return _flag_error("--samples", args.samples, exc)
+    rep = empirical_metric(circuit, sampling)
     print(json.dumps(rep.to_json(), indent=2))
     return 0
 
@@ -128,15 +139,19 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
     if circuit is None:
         return 2
     if args.mode == "random":
-        model, basis, report = apply_random_trunc(circuit, keep=args.keep, seed=args.seed)
+        try:
+            model, basis, report = apply_random_trunc(circuit, keep=args.keep, seed=args.seed)
+        except ValueError as exc:
+            return _flag_error("--keep", args.keep, exc)
     else:
         budget = args.budget if args.budget and args.budget > 0 else None
-        model, basis, report = apply_lie_trunc(
-            circuit,
-            lie_closure(circuit.skew_generators()),
-            depth_cap=args.depth_cap,
-            dim_budget=budget,
-        )
+        closure = lie_closure(circuit.skew_generators())
+        try:
+            model, basis, report = apply_lie_trunc(
+                circuit, closure, depth_cap=args.depth_cap, dim_budget=budget
+            )
+        except ValueError as exc:
+            return _flag_error("--budget", args.budget, exc)
     out = {
         "basis": basis.to_json(),
         "report": report.to_json(),

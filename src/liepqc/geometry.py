@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import pairwise_mean, rng_from
+from .util import pairwise_mean, rng_from, stack_size
 
 RANK_REL_TOL = 1e-8
 ZERO_METRIC_FLOOR = 1e-14
@@ -90,17 +90,34 @@ def fs_metric_at(circuit, theta: np.ndarray) -> np.ndarray:
 
 
 def frame_metric(frame) -> np.ndarray:
-    """Pullback metric from an already evaluated tangent frame."""
-    g = np.real(frame.projected.conj().T @ frame.projected)
-    return 0.5 * (g + g.T)
+    """Pullback metric from an already evaluated tangent frame, or one per
+    draw of a stacked frame."""
+    projected = frame.projected
+    g = np.real(np.swapaxes(projected.conj(), -1, -2) @ projected)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def draw_frames(circuit, sampling: SamplingSpec, indices):
+    """(draw indices, stacked tangent frame) for ``indices``, a stack at a time.
+
+    Draw s is ``sampling.draw(num_params, s)`` from its own stream; a stack
+    holds at most ``stack_size(circuit.dim)`` of them.
+    """
+    indices = list(indices)
+    size = stack_size(circuit.dim)
+    num = circuit.num_params
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
+        thetas = np.stack([sampling.draw(num, s) for s in chunk])
+        yield chunk, circuit.tangent_frame(thetas)
 
 
 def empirical_metric(circuit, sampling: SamplingSpec) -> MetricReport:
     """Average of the pointwise metric over seeded parameter draws."""
     num = circuit.num_params
     metrics = np.empty((sampling.n_samples, num, num))
-    for s in range(sampling.n_samples):
-        metrics[s] = fs_metric_at(circuit, sampling.draw(num, s))
+    for chunk, frames in draw_frames(circuit, sampling, range(sampling.n_samples)):
+        metrics[chunk] = frame_metric(frames)
     g_hat = pairwise_mean(metrics)
     return metric_report(g_hat, sampling)
 

@@ -13,6 +13,7 @@ for elements admitted from commutators.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,18 +98,48 @@ class TruncationReport:
 # ---------------------------------------------------------------------------
 
 
-def _project_residual(x: PauliSum, basis: list[PauliSum]) -> PauliSum:
+def _holders(basis: list[PauliSum]) -> dict[str, list[int]]:
+    """Each Pauli string of a basis, mapped to the positions that hold it."""
+    holders: dict[str, list[int]] = {}
+    for position, element in enumerate(basis):
+        _hold(holders, element, position)
+    return holders
+
+
+def _hold(holders: dict[str, list[int]], element: PauliSum, position: int) -> None:
+    """Record the strings of the basis element at ``position``."""
+    for letters in element.terms:
+        holders.setdefault(letters, []).append(position)
+
+
+def _project_residual(
+    x: PauliSum, basis: list[PauliSum], holders: dict[str, list[int]]
+) -> PauliSum:
     """Two-pass projection of x off the span of an orthonormal basis.
 
-    An element with zero overlap is skipped: subtracting ``0 * b``, the empty
-    sum, would leave ``r`` as it is.
+    Only an element that shares a string with the running residual ``r``
+    can overlap it, so each pass visits just those, in basis order; the
+    others, and any visited element with zero overlap, are skipped, since
+    subtracting ``0 * b``, the empty sum, would leave ``r`` as it is.  A
+    subtraction brings in the strings of the element subtracted, and with
+    them the later elements that hold them.  ``holders`` is
+    ``_holders(basis)``.
     """
     r = x
     for _ in range(2):
-        for b in basis:
+        queued = {i for letters in r.terms for i in holders.get(letters, ())}
+        queue = sorted(queued)
+        while queue:
+            i = heapq.heappop(queue)
+            b = basis[i]
             overlap = b.hs_inner(r)
             if overlap != 0:
                 r = r - overlap * b
+                for letters in b.terms:
+                    for j in holders[letters]:
+                        if j > i and j not in queued:
+                            queued.add(j)
+                            heapq.heappush(queue, j)
     return r.prune()
 
 
@@ -124,13 +155,15 @@ def orthonormalize_sums(
     if tol <= 0:
         raise ValueError("tol must be positive")
     basis: list[PauliSum] = []
+    holders: dict[str, list[int]] = {}
     residuals: dict[int, float] = {}
     for idx, v in enumerate(vectors):
-        r = _project_residual(v, basis)
+        r = _project_residual(v, basis, holders)
         norm = r.hs_norm()
         residuals[idx] = norm
         if norm > tol:
             basis.append((1.0 / norm) * r)
+            _hold(holders, basis[-1], len(basis) - 1)
     return basis, residuals
 
 
@@ -155,10 +188,12 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     error, and the reported closure_defect is then the largest remaining
     residual.  A generator set whose span is empty at that tolerance (a
     coefficient whose square underflows, say) is a ValueError, like an empty
-    list.
+    list or a ``max_dim`` below 1.
     """
     if not generators:
         raise ValueError("need at least one generator")
+    if max_dim is not None and max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     n_qubits = generators[0].n_qubits
     for g in generators:
         if not g.is_skew_hermitian():
@@ -172,6 +207,7 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     basis, _ = orthonormalize_sums(generators, tol)
     if not basis:
         raise ValueError("generators span no direction above the closure tolerance")
+    holders = _holders(basis)
     depths = [0] * len(basis)
     newest = list(range(len(basis)))
     capped = False
@@ -186,10 +222,11 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
                     capped = True
                     break
                 br = basis[i].commutator(basis[j]).prune()
-                r = _project_residual(br, basis)
+                r = _project_residual(br, basis, holders)
                 norm = r.hs_norm()
                 if norm > tol:
                     basis.append((1.0 / norm) * r)
+                    _hold(holders, basis[-1], len(basis) - 1)
                     depths.append(1 + max(depths[i], depths[j]))
                     added.append(len(basis) - 1)
             if capped:
@@ -207,11 +244,12 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
 
 
 def _closure_defect(basis: list[PauliSum]) -> float:
+    holders = _holders(basis)
     worst = 0.0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             br = basis[i].commutator(basis[j]).prune()
-            r = _project_residual(br, basis)
+            r = _project_residual(br, basis, holders)
             worst = max(worst, r.hs_norm())
     return worst
 

@@ -21,13 +21,23 @@ def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
 
 
 def is_skew_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    scale = max(max_abs(a), 1e-300)
-    return max_abs(a + a.conj().T) <= rtol * scale
+    """A = -A^dagger to rtol; for an (S, dim, dim) stack, every matrix is."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return True
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
+    return bool(np.all(np.abs(a + _adjoint(a)).max(axis=(-2, -1)) <= rtol * scale))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def _check_square(a: np.ndarray) -> np.ndarray:
+    """a as complex; one square matrix or a stack of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     return a
 
@@ -35,6 +45,19 @@ def _check_square(a: np.ndarray) -> np.ndarray:
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for one vector, or draw by draw for an (S, dim) stack of them.
+
+    ``m`` is one matrix or an (S, dim, dim) stack.  For a stack, the trailing
+    unit axis makes numpy's stacked matmul call, slice by slice, the
+    matrix-vector BLAS routine of the single product, so every slice keeps
+    that product's bits.
+    """
+    if v.ndim == 1:
+        return m @ v
+    return (m @ v[..., None])[..., 0]
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,19 +77,26 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def expm_skew(x: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Unitary exp(t X) for a skew-Hermitian matrix X, via the eigensolver of iX."""
+def expm_skew(x: np.ndarray, t=1.0) -> np.ndarray:
+    """Unitary exp(t X) for a skew-Hermitian matrix X, via the eigensolver of iX.
+
+    An (S, dim, dim) stack of X with S times t (or one) gives S unitaries,
+    each with the bits of its own call: the eigensolver and the products run
+    slice by slice.
+    """
     x = _check_square(x)
     if not is_skew_hermitian(x):
         raise ValueError("expm_skew requires a skew-Hermitian matrix")
     h = 1j * x  # Hermitian
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+    t = np.asarray(t, dtype=float)[..., None]
+    return (vecs * np.exp(-1j * t * vals)[..., None, :]) @ _adjoint(vecs)
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
+def op_norm(a: np.ndarray):
+    """Largest singular value; an array of one per matrix for a stack."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(norms) if a.ndim == 2 else norms

@@ -20,7 +20,8 @@ from typing import ClassVar
 import numpy as np
 
 from .pauli import PauliSum
-from .geometry import SamplingSpec, MetricReport, frame_metric, metric_report
+from .geometry import SamplingSpec, MetricReport, draw_frames, frame_metric, metric_report
+from .linalg import matvec
 from .util import pairwise_mean
 
 
@@ -105,8 +106,10 @@ def _expectation(state: np.ndarray, obs: np.ndarray) -> float:
 
 
 def _frame_gradient(frame, obs: np.ndarray) -> np.ndarray:
-    """grad_k = 2 Re <d_k psi| O |psi> from an evaluated tangent frame."""
-    return 2.0 * np.real(frame.partials.conj().T @ (obs @ frame.state))
+    """grad_k = 2 Re <d_k psi| O |psi> from an evaluated tangent frame, or
+    one gradient per draw of a stacked frame."""
+    partials_h = np.swapaxes(frame.partials.conj(), -1, -2)
+    return 2.0 * np.real(matvec(partials_h, matvec(obs, frame.state)))
 
 
 @dataclass
@@ -179,8 +182,10 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
 
     One tangent frame per draw yields both the pointwise metric and the
     gradient, so the variance and the effective dimension describe the same
-    parameter distribution.  Reductions are pairwise and per-sample streams
-    are keyed by index: results do not depend on evaluation order.
+    parameter distribution.  Draws are evaluated in stacks
+    (:func:`~liepqc.geometry.draw_frames`), each with the bits of its own
+    frame.  Reductions are pairwise and per-sample streams are keyed by
+    index: results do not depend on evaluation order.
     """
     if sampling.n_samples < 2:
         raise ValueError("variance estimation needs n_samples >= 2")
@@ -188,10 +193,9 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
     obs = loss.observable_dense(circuit.n_qubits)
     grads = np.empty((sampling.n_samples, num))
     metrics = np.empty((sampling.n_samples, num, num))
-    for s in range(sampling.n_samples):
-        frame = circuit.tangent_frame(sampling.draw(num, s))
-        metrics[s] = frame_metric(frame)
-        grads[s] = _frame_gradient(frame, obs)
+    for chunk, frames in draw_frames(circuit, sampling, range(sampling.n_samples)):
+        metrics[chunk] = frame_metric(frames)
+        grads[chunk] = _frame_gradient(frames, obs)
     metric = metric_report(pairwise_mean(metrics), sampling)
     centered = grads - pairwise_mean(grads)
     factor = sampling.n_samples / (sampling.n_samples - 1)

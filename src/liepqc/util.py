@@ -32,6 +32,17 @@ def rng_from(*parts: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(stable_key(*parts)))
 
 
+# Largest stack of independent draws evaluated in one call, counted in
+# entries of its dim x dim matrices: all 50 draws of a sweep cell at n <= 4,
+# 32 at n = 5 and 8 at n = 6.  It bounds the extra memory a stack holds.
+STACK_ENTRIES = 2 ** 15
+
+
+def stack_size(dim: int) -> int:
+    """Draws per stack of dim x dim matrices, at least one."""
+    return max(1, STACK_ENTRIES // (dim * dim))
+
+
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
     """Sum over axis 0 by recursive pairing.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -46,33 +47,38 @@ from .util import _one_blas_thread, rng_from
 # ---------------------------------------------------------------------------
 
 
-def _dense_string_table(n_qubits: int) -> list[np.ndarray]:
+@cache
+def _conjugate_string_table(n_qubits: int) -> np.ndarray:
+    """(4^n, dim, dim) read-only stack of conj(P) for every string, in
+    ``all_strings`` order, built with ``kron`` apart from the closure engine."""
     mats = []
     for letters in all_strings(n_qubits):
         m = np.array([[1.0]], dtype=complex)
         for ch in letters:
             m = np.kron(m, SINGLE_QUBIT[ch])
-        mats.append(m)
-    return mats
+        mats.append(m.conj())
+    table = np.stack(mats)
+    table.flags.writeable = False
+    return table
 
 
 def brute_force_closure_dim(generators: list[np.ndarray]) -> int:
     """Dimension of the bracket closure by exhaustive dense expansion.
 
-    Every operator is expanded against the full Pauli-string table; linear
-    independence is tracked by orthonormal projection of the real coefficient
-    vectors, a residual norm above 1e-10 counting as new.  All pairs of the
-    current spanning set are bracketed until a round adds nothing, for at
-    most 64 rounds.
+    Every operator is expanded against the full Pauli-string table at once,
+    Tr(P^dagger op) being the sum of conj(P) * op over all entries;
+    linear independence is tracked by orthonormal projection of the real
+    coefficient vectors, a residual norm above 1e-10 counting as new.  All
+    pairs of the current spanning set are bracketed until a round adds
+    nothing, for at most 64 rounds.
     """
     n_qubits = int(np.log2(generators[0].shape[0]))
-    table = _dense_string_table(n_qubits)
+    table = _conjugate_string_table(n_qubits)
     dim = 2 ** n_qubits
 
     def coeff_vector(op: np.ndarray) -> np.ndarray:
         # op is skew-Hermitian: op = sum_P c_P (i P) with real c_P
-        coeffs = np.array([np.trace(p.conj().T @ op) / dim for p in table])
-        return np.imag(coeffs)
+        return np.imag((table * op).sum(axis=(1, 2)) / dim)
 
     ortho: list[np.ndarray] = []
     ops: list[np.ndarray] = []

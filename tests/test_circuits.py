@@ -60,6 +60,8 @@ def test_evolve_theta_length_mismatch():
     c = CircuitSpec(1, [slot(1, "X")])
     with pytest.raises(ValueError):
         c.evolve(np.zeros(2))
+    with pytest.raises(ValueError):
+        c.evolve(np.zeros((2, 1)))         # only tangent_frame takes a stack
 
 
 def test_initial_state_must_be_normalized():
@@ -283,6 +285,44 @@ def test_frame_dense_paths_match_suffix_product_oracle():
         got, want = c.tangent_frame(theta), suffix_product_frame(c, theta)
         for field in ("state", "partials", "projected"):
             np.testing.assert_allclose(getattr(got, field), getattr(want, field), atol=1e-12)
+
+
+def _json_circuit(rng):
+    """Three qubits from a document: a "matrix" slot for a multi-string sum,
+    a non-sign fixed gate, and string slots around a CZ ring."""
+    n = 3
+    h = PauliSum(n, {"XYI": 0.7, "IZZ": -0.4, "YII": 0.2}).dense()
+    return circuit_from_json({"n_qubits": n, "slots": [
+        {"kind": "param", "pauli": "YII"},
+        {"kind": "param", "matrix": complex_to_json(h)},
+        {"kind": "fixed", "matrix": complex_to_json(random_unitary(rng, 8)), "label": "u"},
+        {"kind": "param", "pauli": "IZX"},
+        {"kind": "fixed", "matrix": complex_to_json(cz_ring_matrix(n)), "label": "cz"},
+        {"kind": "param", "pauli": "XXI"},
+    ]})
+
+
+def test_stacked_frames_match_single_frames_bytes():
+    rng = np.random.default_rng(23)
+    for c in [*frame_models(), _json_circuit(rng)]:
+        thetas = rng.uniform(-np.pi, 2 * np.pi, (5, c.num_params))
+        thetas[2] = 0.0
+        singles = [c.tangent_frame(theta) for theta in thetas]
+        for lo, hi in ((0, 5), (3, 4), (1, 4)):
+            stacked = c.tangent_frame(thetas[lo:hi])
+            for s in range(lo, hi):
+                for field in ("state", "partials", "projected"):
+                    got = getattr(stacked, field)[s - lo]
+                    assert got.tobytes() == getattr(singles[s], field).tobytes(), (
+                        c.family, c.n_qubits, c.depth, field, s, (lo, hi)
+                    )
+
+
+def test_tangent_frame_rejects_bad_theta_shapes():
+    c = CircuitSpec(1, [slot(1, "X")])
+    for theta in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 1, 1)), 0.5):
+        with pytest.raises(ValueError):
+            c.tangent_frame(theta)
 
 
 def test_string_slot_gather_bytes_match_dense_product():

@@ -112,6 +112,12 @@ def test_closure_requires_skew():
         lie_closure([PauliSum.from_letters(1, "X", 1.0)])
 
 
+def test_closure_rejects_a_cap_below_one():
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            lie_closure([skew(1, "X"), skew(1, "Z")], max_dim=cap)
+
+
 def test_closure_rejects_a_span_that_underflows():
     # |c|^2 underflows to 0, so the generator's HS norm is 0: an empty span,
     # which raises like an empty generator list instead of dim 0, converged

@@ -196,3 +196,19 @@ class TestGramSchmidt:
 def test_hermiticity_checks():
     assert is_hermitian(X) and not is_skew_hermitian(X)
     assert is_skew_hermitian(1j * X) and not is_hermitian(1j * X)
+
+
+def test_stacked_linalg_checks_every_matrix_and_keeps_bytes():
+    rng = np.random.default_rng(8)
+    xs = np.stack([_random_skew(rng, 4) for _ in range(5)])
+    ts = rng.uniform(0.1, 2.0, 5)
+    assert is_skew_hermitian(xs)
+    mixed = xs.copy()
+    mixed[4] = 1j * mixed[4]
+    assert not is_skew_hermitian(mixed)
+    with pytest.raises(ValueError):
+        expm_skew(mixed, ts)
+    us, norms = expm_skew(xs, ts), op_norm(xs)
+    for k in range(5):
+        assert us[k].tobytes() == expm_skew(xs[k], ts[k]).tobytes()
+        assert repr(float(norms[k])) == repr(op_norm(xs[k]))

@@ -34,6 +34,51 @@ def test_bound_check_rejects_bad_inputs():
         perturbation_bound_check(-1j * Z, -0.01j * X, 0.0)  # t must be positive
 
 
+def _stack_inputs(n, size, seed):
+    rng = rng_from(seed, "stack", n)
+    xs = np.stack([random_skew(n, rng, hs_norm=rng.uniform(0.2, 2.0)) for _ in range(size)])
+    dxs = np.stack([random_skew(n, rng, hs_norm=rng.uniform(0.001, 0.2)) for _ in range(size)])
+    return xs, dxs, rng.uniform(1e-3, 2.0, size)
+
+
+def test_stacked_bound_check_matches_per_matrix_calls():
+    fields = ("t", "lhs", "rhs", "margin", "unitary_rhs")
+    for n in (1, 2, 3):
+        xs, dxs, ts = _stack_inputs(n, 7, seed=31)
+        stacked = perturbation_bound_check(xs, dxs, ts)
+        assert len(stacked) == 7
+        for k, got in enumerate(stacked):
+            want = perturbation_bound_check(xs[k], dxs[k], float(ts[k]))
+            for field in fields:
+                assert repr(getattr(got, field)) == repr(getattr(want, field)), (n, k, field)
+
+
+def test_stacked_bound_check_rejects_bad_inputs():
+    xs, dxs, ts = _stack_inputs(2, 4, seed=32)
+    not_skew = xs.copy()
+    not_skew[3] = 1j * not_skew[3]          # Hermitian, not skew
+    with pytest.raises(ValueError):
+        perturbation_bound_check(not_skew, dxs, ts)
+    with pytest.raises(ValueError):
+        perturbation_bound_check(xs, not_skew, ts)
+    for bad_t in (0.0, -0.5):
+        t = ts.copy()
+        t[1] = bad_t
+        with pytest.raises(ValueError):
+            perturbation_bound_check(xs, dxs, t)
+
+
+def test_trial_batch_matches_per_trial_checks():
+    # stacks of 512 at n = 3 (8 x 8 matrices) split 600 trials in two
+    trials = trial_batch(3, 600, seed=5)
+    for k in (0, 511, 512, 599):
+        rng = rng_from(5, "perturbation", k)
+        x = random_skew(3, rng, hs_norm=rng.uniform(0.2, 2.0))
+        dx = random_skew(3, rng, hs_norm=rng.uniform(0.001, 0.2))
+        want = perturbation_bound_check(x, dx, rng.uniform(1e-3, 2.0))
+        assert repr(trials[k]) == repr(want)
+
+
 def test_trial_batch_margins_nonnegative():
     for n in (1, 2, 3):
         trials = trial_batch(n, 80, seed=99 + n)

@@ -455,9 +455,16 @@ def test_cli_closure_metric_truncate(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["closure"], ["metric", "--samples", "5"], ["truncate", "--mode", "lie"],
+    (["closure"], ("--max-dim", "-1")),
+    (["metric", "--samples", "5"], ("--samples", "0")),
+    (["truncate", "--mode", "lie"], ("--budget", "1")),     # below the span, 4 at n = 2
+    (["truncate", "--mode", "random"], ("--keep", "0")),
 ])
 def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
+    # bad circuit files, then a good circuit with a flag value the library rejects
+    from liepqc.circuits import build_ansatz, circuit_to_json
+
+    args, (flag, value) = command
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     rejected = tmp_path / "rejected.json"
@@ -465,10 +472,17 @@ def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     bad_slot = tmp_path / "bad_slot.json"
     bad_slot.write_text(json.dumps({"n_qubits": 2, "slots": [1]}))
     for path in (tmp_path / "missing.json", malformed, rejected, bad_slot):
-        assert cli_main([command[0], "--circuit", str(path), *command[1:]]) == 2
+        assert cli_main([args[0], "--circuit", str(path), *args[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}: ")
         assert err.count("\n") == 1
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(circuit_to_json(build_ansatz("full_hea", 2, 1))))
+    assert cli_main([args[0], "--circuit", str(good), *args[1:], flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {flag} {value}: ValueError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_closure_output_parses(tmp_path, capsys):

@@ -19,7 +19,7 @@ from liepqc.trainability import (
     svd_chain_rule,
     tfim_hamiltonian,
 )
-from liepqc.util import rng_from
+from liepqc.util import pairwise_mean, rng_from
 
 
 def slot(n, letters, coeff=1.0):
@@ -172,22 +172,40 @@ def _fill_orders(draw):
 @settings(max_examples=15, deadline=None)
 @given(_fill_orders())
 def test_variance_bytes_ignore_fill_order_property(case):
-    # the draw loop runs over a permutation of the sample indices
+    # the draws are stacked and filled in a permutation of the sample indices,
+    # so each draw sits at another position of its stack
     seed, order = case
     c = build_ansatz("full_hea", 2, 2)
     sampling = SamplingSpec(n_samples=len(order), seed=seed)
     in_order = gradient_variance(c, LossSpec(), sampling)
+    calls = []
 
     def permuted_range(n):
         assert n == len(order)
+        calls.append(n)
         return list(order)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainability_mod, "range", permuted_range, raising=False)
         permuted = gradient_variance(c, LossSpec(), sampling)
+    assert calls == [len(order)]
     assert permuted.per_component_variance.tobytes() == in_order.per_component_variance.tobytes()
     assert permuted.metric.metric.tobytes() == in_order.metric.metric.tobytes()
     assert permuted.product_var_deff == in_order.product_var_deff
+
+
+def test_variance_stacks_match_per_draw_frames():
+    # n = 6 evaluates its draws in stacks of 8, so 10 draws take two stacks
+    c = build_ansatz("full_hea", 6, 1)
+    sampling = SamplingSpec(n_samples=10, seed=3)
+    rep = gradient_variance(c, LossSpec(), sampling)
+    thetas = [sampling.draw(c.num_params, s) for s in range(10)]
+    grads = np.stack([loss_and_gradient(c, theta, LossSpec())[1] for theta in thetas])
+    centered = grads - pairwise_mean(grads)
+    want = (10 / 9) * pairwise_mean(centered ** 2)
+    assert rep.per_component_variance.tobytes() == want.tobytes()
+    metrics = np.stack([fs_metric_at(c, theta) for theta in thetas])
+    assert rep.metric.metric.tobytes() == pairwise_mean(metrics).tobytes()
 
 
 def test_variance_requires_two_samples():

@@ -131,6 +131,18 @@ def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_po
     for chk in report["checks"]:
         assert set(chk) == {"name", "passed", "margin", "detail", "label", "seconds"}
         assert chk["seconds"] >= 0.0
+    # the margins are machine bits, pinned like the records.csv reference in
+    # test_default_records_match_bench_reference; criterion 10's is a time
+    margins = [c["margin"] for c in report["checks"] if c["name"] != "determinism_and_budget"]
+    assert margins == PINNED_MARGINS
+
+
+PINNED_MARGINS = [
+    0.0, 1.000000082740371e-09, 1.0, 2.057406529513726, 9.977112166007389e-07,
+    9.99928945726424e-11, 1.0, 2.051754233067877e-07, 1.0, 9.991118215802999e-13,
+    9.99928392766539e-11, 9.999800082771613e-11, 9.99999955591079e-09,
+    9.999977795539508e-11, 1.0,
+]
 
 
 def test_verify_suite_matches_serial_checks():
