@@ -41,7 +41,7 @@ for the descent's one point per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -165,19 +165,19 @@ class TangentFrame:
 
     ``projected`` removes the global-phase component of each column:
     <psi | projected_k> = 0, which is the tangent space of the projective
-    state manifold.  The frame of an (S, L) stack of points carries a
-    leading axis of S on every field.
+    state manifold.  Gradients do not need it, so it is computed when first
+    read.  The frame of an (S, L) stack of points carries a leading axis of
+    S on every field.
     """
 
     state: np.ndarray
     partials: np.ndarray         # dim x L, column k = d_k psi
-    projected: np.ndarray        # dim x L, phase direction removed
 
-    @classmethod
-    def build(cls, state: np.ndarray, partials: np.ndarray) -> "TangentFrame":
-        overlaps = (state.conj()[..., None, :] @ partials)[..., 0, :]
-        projected = partials - state[..., :, None] * overlaps[..., None, :]
-        return cls(state=state, partials=partials, projected=projected)
+    @cached_property
+    def projected(self) -> np.ndarray:
+        """dim x L, the partials with the phase direction removed."""
+        overlaps = (self.state.conj()[..., None, :] @ self.partials)[..., 0, :]
+        return self.partials - self.state[..., :, None] * overlaps[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ class CircuitSpec:
             else:
                 m = op.matrix_value
             acc = _as_blas_sum(m) if acc is None else acc @ m
-        return TangentFrame.build(states[n_ops], partials)
+        return TangentFrame(states[n_ops], partials)
 
 
 # ---------------------------------------------------------------------------

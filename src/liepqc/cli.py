@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", help="comma-separated subset of full,random_trunc,lie_trunc")
     p.add_argument("--samples", type=int, help="metric/variance sample count")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="processes; 0 = one per qubit count, up to the usable CPUs")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("closure", help="Lie closure of a circuit's generators")

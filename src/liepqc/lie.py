@@ -188,7 +188,7 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     error, and the reported closure_defect is then the largest remaining
     residual.  A generator set whose span is empty at that tolerance (a
     coefficient whose square underflows, say) is a ValueError, like an empty
-    list or a ``max_dim`` below 1.
+    list, a ``max_dim`` below 1 or a span larger than ``max_dim``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -207,6 +207,8 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     basis, _ = orthonormalize_sums(generators, tol)
     if not basis:
         raise ValueError("generators span no direction above the closure tolerance")
+    if len(basis) > max_dim:
+        raise ValueError(f"the generators span {len(basis)} directions, above max_dim {max_dim}")
     holders = _holders(basis)
     depths = [0] * len(basis)
     newest = list(range(len(basis)))

@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
 import numbers
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -69,7 +71,7 @@ class SweepConfig:
     opt_rate: float = 0.1
     master_seed: int = DEFAULT_MASTER_SEED
     out_dir: str = "results"
-    workers: int = 1
+    workers: int = 0                 # 0 = automatic: one per qubit count, up to the CPUs
 
     def __post_init__(self):
         if not self.qubit_range:
@@ -96,8 +98,10 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers < 0:
+            raise ConfigError(
+                "workers must be >= 0 (0 = one per qubit count, up to the usable CPUs)"
+            )
         # the HEA has 2n distinct generator directions (R_Y and R_Z per qubit),
         # which span its generator space
         max_keep = 2 * min(self.qubit_range)
@@ -338,21 +342,42 @@ def _qubit_count_task(
 # ---------------------------------------------------------------------------
 
 
+def _resolve_workers(config: SweepConfig) -> int:
+    """Processes a sweep of ``config`` runs on.
+
+    An explicit ``workers`` is used as given.  The automatic 0 gives one
+    process per qubit count, up to the CPUs this process may run on; inside
+    a process that a multiprocessing pool started it gives 1, so a sweep in
+    a pool child never starts a pool of its own.
+    """
+    if config.workers:
+        return config.workers
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(len(config.qubit_range), cpus)
+
+
 def run_sweep(
     config: SweepConfig, write_files: bool = True
 ) -> tuple[list[SweepRecord], list[dict]]:
     """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
 
-    The pool maps over qubit counts, so workers beyond their number idle.
-    It takes the largest, slowest count first, so that count does not start
-    last; outcomes are sorted afterwards either way.  Its workers run BLAS on
-    one thread.
+    With more than one worker (:func:`_resolve_workers`) a process pool maps
+    over the qubit counts, so workers beyond their number idle.  It takes
+    the largest, slowest count first, so that count does not start last;
+    outcomes are sorted afterwards either way.  Its workers run BLAS on one
+    thread.  One worker runs the counts here, with no pool.
     """
+    workers = _resolve_workers(config)
     tasks = [(config, n) for n in config.qubit_range]
-    if config.workers > 1:
+    if workers > 1:
         largest_first = sorted(tasks, key=lambda t: t[1], reverse=True)
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_one_blas_thread
+            max_workers=workers, initializer=_one_blas_thread
         ) as pool:
             per_n = list(pool.map(_qubit_count_task, largest_first))
     else:
@@ -369,7 +394,7 @@ def run_sweep(
     ]
 
     if write_files:
-        write_outputs(config, records, errors)
+        write_outputs(config, records, errors, workers)
     return records, errors
 
 
@@ -380,13 +405,16 @@ def records_csv_text(records: list[SweepRecord]) -> str:
 
 
 def write_outputs(
-    config: SweepConfig, records: list[SweepRecord], errors: list[dict]
+    config: SweepConfig, records: list[SweepRecord], errors: list[dict], workers: int
 ) -> None:
+    """The sweep's files; ``records.json`` gives ``workers``, the resolved
+    process count, beside the config."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "records.csv").write_text(records_csv_text(records))
     payload = {
         "config": config.to_json(),
+        "workers": workers,
         "records": [r.to_json() for r in records],
         "errors": errors,
     }

@@ -95,9 +95,11 @@ def loss_and_gradient(circuit, theta: np.ndarray, loss: LossSpec) -> tuple[float
 def _observable_loss_and_gradient(
     circuit, theta: np.ndarray, obs: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """:func:`loss_and_gradient` for an already resolved dense observable."""
+    """:func:`loss_and_gradient` for an already resolved dense observable;
+    the loss and the gradient share one product O|psi>."""
     frame = circuit.tangent_frame(theta)
-    return _expectation(frame.state, obs), _frame_gradient(frame, obs)
+    o_state = obs @ frame.state
+    return float(np.real(frame.state.conj() @ o_state)), _frame_gradient(frame, o_state)
 
 
 def _expectation(state: np.ndarray, obs: np.ndarray) -> float:
@@ -105,11 +107,11 @@ def _expectation(state: np.ndarray, obs: np.ndarray) -> float:
     return float(np.real(state.conj() @ (obs @ state)))
 
 
-def _frame_gradient(frame, obs: np.ndarray) -> np.ndarray:
-    """grad_k = 2 Re <d_k psi| O |psi> from an evaluated tangent frame, or
-    one gradient per draw of a stacked frame."""
+def _frame_gradient(frame, o_state: np.ndarray) -> np.ndarray:
+    """grad_k = 2 Re <d_k psi| O |psi> from an evaluated tangent frame and
+    ``o_state`` = O|psi>, or one gradient per draw of a stacked frame."""
     partials_h = np.swapaxes(frame.partials.conj(), -1, -2)
-    return 2.0 * np.real(matvec(partials_h, matvec(obs, frame.state)))
+    return 2.0 * np.real(matvec(partials_h, o_state))
 
 
 @dataclass
@@ -195,7 +197,7 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
     metrics = np.empty((sampling.n_samples, num, num))
     for chunk, frames in draw_frames(circuit, sampling, range(sampling.n_samples)):
         metrics[chunk] = frame_metric(frames)
-        grads[chunk] = _frame_gradient(frames, obs)
+        grads[chunk] = _frame_gradient(frames, matvec(obs, frames.state))
     metric = metric_report(pairwise_mean(metrics), sampling)
     centered = grads - pairwise_mean(grads)
     factor = sampling.n_samples / (sampling.n_samples - 1)

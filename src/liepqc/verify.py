@@ -416,11 +416,12 @@ def check_determinism_and_budget(
     ``first_run`` and ``second_run`` are sweeps of ``config`` already made,
     as (records, errors, seconds); they count as the first two of the three
     runs, their errors and their seconds included.  The check runs each one
-    it is not given, then a ``workers=2`` sweep.
+    it is not given, on one worker, then a ``workers=2`` sweep.
     """
     config = config or SweepConfig()
-    rec1, err1, elapsed = first_run if first_run is not None else _timed_sweep(config)
-    rec2, err2, seconds2 = second_run if second_run is not None else _timed_sweep(config)
+    serial = dataclasses.replace(config, workers=1)
+    rec1, err1, elapsed = first_run if first_run is not None else _timed_sweep(serial)
+    rec2, err2, seconds2 = second_run if second_run is not None else _timed_sweep(serial)
     rec3, err3, seconds3 = _timed_sweep(dataclasses.replace(config, workers=2))
     elapsed += seconds2 + seconds3
     identical = records_csv_text(rec1) == records_csv_text(rec2) == records_csv_text(rec3)

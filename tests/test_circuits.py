@@ -237,7 +237,7 @@ def suffix_product_frame(c, theta):
                 gen_col = op.apply_generator(states[i + 1])
             partials[:, k] = suffixes[i] @ gen_col
             k += 1
-    return TangentFrame.build(states[-1], partials)
+    return TangentFrame(states[-1], partials)
 
 
 def frame_models():

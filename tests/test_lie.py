@@ -118,6 +118,12 @@ def test_closure_rejects_a_cap_below_one():
             lie_closure([skew(1, "X"), skew(1, "Z")], max_dim=cap)
 
 
+def test_closure_rejects_a_cap_below_the_span():
+    # X and Z span two directions, which a cap of one cannot report
+    with pytest.raises(ValueError, match="above max_dim 1"):
+        lie_closure([skew(1, "X"), skew(1, "Z")], max_dim=1)
+
+
 def test_closure_rejects_a_span_that_underflows():
     # |c|^2 underflows to 0, so the generator's HS norm is 0: an empty span,
     # which raises like an empty generator list instead of dim 0, converged

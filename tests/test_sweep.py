@@ -51,6 +51,7 @@ def test_config_defaults_valid():
     assert cfg.qubit_range == [2, 3, 4, 5, 6]
     assert cfg.methods == ["full", "random_trunc", "lie_trunc"]
     assert cfg.depth >= 1
+    assert cfg.workers == 0   # automatic
 
 
 def test_config_rejects_bad_values():
@@ -187,21 +188,20 @@ def test_sweep_worker_count_independent():
     import dataclasses
 
     cfg = small_config(qubit_range=[2, 3], methods=["full", "random_trunc"])
-    seq, _ = run_sweep(cfg, write_files=False)
+    seq, _ = run_sweep(dataclasses.replace(cfg, workers=1), write_files=False)
     par, _ = run_sweep(dataclasses.replace(cfg, workers=2), write_files=False)
     assert records_csv_text(seq) == records_csv_text(par)
 
 
-def test_sweep_pool_runs_blas_on_one_thread(monkeypatch):
-    # the workers > 1 pool and verify's pool share one BLAS-pinning initializer
-    import liepqc.util as util_mod
-    import liepqc.verify as verify_mod
-
-    initializers = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The sweep's pool replaced by one that runs here; lists each pool made
+    as its (max_workers, initializer)."""
+    pools = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer=None):
-            initializers.append(initializer)
+            pools.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -213,11 +213,59 @@ def test_sweep_pool_runs_blas_on_one_thread(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
+    # the workers > 1 pool and verify's pool share one BLAS-pinning initializer
+    import liepqc.util as util_mod
+    import liepqc.verify as verify_mod
+
     cfg = small_config(qubit_range=[2, 3], workers=2)
     records, errors = run_sweep(cfg, write_files=False)
     assert len(records) == 2 and not errors
-    assert initializers == [util_mod._one_blas_thread]
+    assert serial_pool == [(2, util_mod._one_blas_thread)]
     assert verify_mod._one_blas_thread is util_mod._one_blas_thread
+
+
+@pytest.mark.parametrize("cpus, qubit_range, workers, pool", [
+    (1, [2, 3], 0, []),          # automatic, one usable CPU: serial, no pool
+    (4, [2, 3], 0, [2]),         # automatic: one process per qubit count
+    (2, [2, 3, 4], 0, [2]),      # automatic: capped at the usable CPUs
+    (4, [2], 0, []),             # automatic, one qubit count: serial, no pool
+    (1, [2, 3], 3, [3]),         # explicit: used as given
+    (4, [2, 3], 1, []),
+])
+def test_workers_resolution(serial_pool, monkeypatch, cpus, qubit_range, workers, pool):
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = small_config(qubit_range=qubit_range, workers=workers)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert len(records) == len(qubit_range) and not errors
+    assert [max_workers for max_workers, _ in serial_pool] == pool
+
+
+def test_automatic_workers_without_an_affinity_call(serial_pool, monkeypatch):
+    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
+    run_sweep(small_config(qubit_range=[2, 3]), write_files=False)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: None)   # unknown: one
+    run_sweep(small_config(qubit_range=[2, 3]), write_files=False)
+    assert [max_workers for max_workers, _ in serial_pool] == [2]
+
+
+def test_automatic_workers_is_one_in_a_pool_child(monkeypatch):
+    # a pool child, daemonic or not, never starts a pool of its own
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cfg = SweepConfig(qubit_range=[2, 3])
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert sweep_mod._resolve_workers(cfg) == 2
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        assert pool.submit(sweep_mod._resolve_workers, cfg).result(timeout=60) == 1
+    with fork.Pool(1) as pool:   # daemonic children
+        assert pool.apply_async(sweep_mod._resolve_workers, (cfg,)).get(timeout=60) == 1
 
 
 def test_cell_isolation(monkeypatch):
@@ -229,7 +277,8 @@ def test_cell_isolation(monkeypatch):
         return real_run_cell(config, n, method, base, closure)
 
     monkeypatch.setattr(sweep_mod, "run_cell", exploding)
-    cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"])
+    # one worker: the patch must act in this process
+    cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"], workers=1)
     records, errors = run_sweep(cfg, write_files=False)
     assert len(errors) == 1
     assert errors[0]["n"] == 2 and errors[0]["method"] == "full"
@@ -262,7 +311,10 @@ def test_sweep_shares_one_closure_per_qubit_count(monkeypatch):
     monkeypatch.setattr(sweep_mod, "lie_closure", counting_closure)
     monkeypatch.setattr(lie_mod, "lie_closure", counting_closure)
     monkeypatch.setattr(LossSpec, "observable_dense", counting_observable)
-    cfg = small_config(qubit_range=[2, 3], methods=list(sweep_mod.KNOWN_METHODS), opt_steps=3)
+    # one worker: the counts are kept in this process
+    cfg = small_config(
+        qubit_range=[2, 3], methods=list(sweep_mod.KNOWN_METHODS), opt_steps=3, workers=1
+    )
     records, errors = run_sweep(cfg, write_files=False)
     assert len(records) == 6 and not errors
     assert len(closures) == len(cfg.qubit_range)
@@ -274,7 +326,7 @@ def test_cell_failure_before_any_method_is_recorded_per_method(monkeypatch):
         raise RuntimeError("no closure")
 
     monkeypatch.setattr(sweep_mod, "lie_closure", failing_closure)
-    cfg = small_config(methods=["full", "lie_trunc"])
+    cfg = small_config(methods=["full", "lie_trunc"], workers=1)
     records, errors = run_sweep(cfg, write_files=False)
     assert not records
     assert [(e["n"], e["method"]) for e in errors] == [(2, "full"), (2, "lie_trunc")]
@@ -289,6 +341,7 @@ def test_json_payload_contents(tmp_path):
     run_sweep(cfg)
     payload = json.loads((tmp_path / "records.json").read_text())
     assert payload["config"]["qubit_range"] == [2]
+    assert payload["config"]["workers"] == 0 and payload["workers"] == 1
     rec = payload["records"][0]
     assert "wall_time" in rec and "loss_trajectory" in rec
     assert rec["product_var_deff"] == rec["var_grad_mean"] * rec["d_eff"]
@@ -402,6 +455,7 @@ CONFIG_ERRORS = {
     "bool_qubit": {"qubit_range": [True]},
     "float_random_keep": {"random_keep": 1.5},
     "float_workers": {"workers": 1.5},
+    "negative_workers": {"workers": -1},
     "string_master_seed": {"master_seed": "x"},
     "bool_opt_rate": {"opt_rate": True},
     "float_n_samples": {"sampling": {"n_samples": 2.5}},
@@ -459,6 +513,7 @@ def test_cli_closure_metric_truncate(tmp_path):
     (["metric", "--samples", "5"], ("--samples", "0")),
     (["truncate", "--mode", "lie"], ("--budget", "1")),     # below the span, 4 at n = 2
     (["truncate", "--mode", "random"], ("--keep", "0")),
+    (["closure"], ("--max-dim", "1")),                      # below the span, 4 at n = 2
 ])
 def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     # bad circuit files, then a good circuit with a flag value the library rejects

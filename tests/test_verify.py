@@ -50,10 +50,7 @@ def test_oracle_agrees_with_closure_on_combination_generators():
 def test_mutation_dropping_phase_projection_is_detected(monkeypatch):
     """Killing the global-phase projection must flip a frozen metric value."""
 
-    def unprojected_build(cls, state, partials):
-        return TangentFrame(state=state, partials=partials, projected=partials)
-
-    monkeypatch.setattr(TangentFrame, "build", classmethod(unprojected_build))
+    monkeypatch.setattr(TangentFrame, "projected", property(lambda frame: frame.partials))
     # stabilizer direction: correct metric is exactly 0, mutated one is 1
     c = CircuitSpec(1, [ParamSlot(PauliSum.from_letters(1, "Z"))])
     mutated = fs_metric_at(c, np.array([0.7]))
@@ -135,6 +132,19 @@ def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_po
     # test_default_records_match_bench_reference; criterion 10's is a time
     margins = [c["margin"] for c in report["checks"] if c["name"] != "determinism_and_budget"]
     assert margins == PINNED_MARGINS
+
+
+def test_determinism_check_alone_keeps_a_serial_baseline(monkeypatch):
+    # under the automatic default, its own first two sweeps still run on one worker
+    workers = []
+
+    def counting_run_sweep(config, write_files=True):
+        workers.append(config.workers)
+        return [], []
+
+    monkeypatch.setattr(verify_mod, "run_sweep", counting_run_sweep)
+    assert check_determinism_and_budget(SweepConfig())["passed"]
+    assert workers == [1, 1, 2]
 
 
 PINNED_MARGINS = [
