@@ -45,7 +45,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .pauli import PauliSum, all_strings
+from .pauli import PauliSum, string_action
 from .linalg import hermitian_eig, matvec
 
 NORM_TOL = 1e-10
@@ -85,15 +85,13 @@ class ParamSlot:
         self.n_qubits = generator.n_qubits
         self.label = label
         self._string_cache: tuple[float, np.ndarray] | None = None
-        self._gather: tuple[np.ndarray, np.ndarray] | None = None
-        single = generator.single_string()
-        if single is not None and abs(single[1].imag) == 0.0:
-            p = PauliSum.from_letters(self.n_qubits, single[0]).dense()
-            self._string_cache = (float(single[1].real), p)
-            # each row of a Pauli string has one nonzero entry, a phase
-            rows = np.arange(p.shape[0])
-            cols = np.argmax(p != 0, axis=1)
-            self._gather = (cols, p[rows, cols])
+        terms = list(generator.terms.items())
+        if len(terms) == 1 and terms[0][1].imag == 0.0:
+            key, coeff = terms[0]
+            cols, phases = string_action(key, self.n_qubits)
+            # P[r, cols[r]] = phases[r]; cols (r -> r ^ x) is its own inverse
+            self._string_cache = (float(coeff.real), np.diag(phases)[:, cols])
+            self._gather = (cols, phases)
         else:
             self._dense_h = generator.dense()
             self._eig_cache = hermitian_eig(self._dense_h)
@@ -348,20 +346,6 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
 # ---------------------------------------------------------------------------
 
 
-def dense_to_pauli_sum(matrix: np.ndarray, n_qubits: int) -> PauliSum:
-    """Expand a dense operator exactly in the Pauli-string basis."""
-    dim = 2 ** n_qubits
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"matrix has shape {matrix.shape}, expected {(dim, dim)}")
-    terms: dict[str, complex] = {}
-    for letters in all_strings(n_qubits):
-        p = PauliSum.from_letters(n_qubits, letters).dense()
-        coeff = complex(np.trace(p.conj().T @ matrix)) / dim
-        if abs(coeff) > 1e-14:
-            terms[letters] = coeff
-    return PauliSum(n_qubits, terms)
-
-
 def circuit_to_json(circuit: CircuitSpec) -> dict:
     from .util import complex_to_json
 
@@ -393,15 +377,10 @@ def circuit_from_json(data: dict) -> CircuitSpec:
         kind = slot.get("kind")
         if kind == "param":
             if "pauli" in slot:
-                text = slot["pauli"]
-                if "*" in text:
-                    gen = PauliSum.from_text(n, text)
-                else:
-                    gen = PauliSum.from_letters(n, text)
-                ops.append(ParamSlot(gen))
+                ops.append(ParamSlot(PauliSum.from_text(n, slot["pauli"])))
             else:
                 matrix = complex_from_json(slot["matrix"])
-                ops.append(ParamSlot(dense_to_pauli_sum(matrix, n)))
+                ops.append(ParamSlot(PauliSum.from_dense(n, matrix)))
         elif kind == "fixed":
             ops.append(FixedGate(complex_from_json(slot["matrix"]), slot.get("label", "fixed")))
         else:

@@ -98,22 +98,22 @@ class TruncationReport:
 # ---------------------------------------------------------------------------
 
 
-def _holders(basis: list[PauliSum]) -> dict[str, list[int]]:
+def _holders(basis: list[PauliSum]) -> dict[int, list[int]]:
     """Each Pauli string of a basis, mapped to the positions that hold it."""
-    holders: dict[str, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     for position, element in enumerate(basis):
         _hold(holders, element, position)
     return holders
 
 
-def _hold(holders: dict[str, list[int]], element: PauliSum, position: int) -> None:
+def _hold(holders: dict[int, list[int]], element: PauliSum, position: int) -> None:
     """Record the strings of the basis element at ``position``."""
-    for letters in element.terms:
-        holders.setdefault(letters, []).append(position)
+    for key in element.terms:
+        holders.setdefault(key, []).append(position)
 
 
 def _project_residual(
-    x: PauliSum, basis: list[PauliSum], holders: dict[str, list[int]]
+    x: PauliSum, basis: list[PauliSum], holders: dict[int, list[int]]
 ) -> PauliSum:
     """Two-pass projection of x off the span of an orthonormal basis.
 
@@ -127,7 +127,7 @@ def _project_residual(
     """
     r = x
     for _ in range(2):
-        queued = {i for letters in r.terms for i in holders.get(letters, ())}
+        queued = {i for key in r.terms for i in holders.get(key, ())}
         queue = sorted(queued)
         while queue:
             i = heapq.heappop(queue)
@@ -135,8 +135,8 @@ def _project_residual(
             overlap = b.hs_inner(r)
             if overlap != 0:
                 r = r - overlap * b
-                for letters in b.terms:
-                    for j in holders[letters]:
+                for key in b.terms:
+                    for j in holders[key]:
                         if j > i and j not in queued:
                             queued.add(j)
                             heapq.heappush(queue, j)
@@ -155,7 +155,7 @@ def orthonormalize_sums(
     if tol <= 0:
         raise ValueError("tol must be positive")
     basis: list[PauliSum] = []
-    holders: dict[str, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     residuals: dict[int, float] = {}
     for idx, v in enumerate(vectors):
         r = _project_residual(v, basis, holders)
@@ -184,11 +184,13 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
     (existing element, newest-layer element) is bracketed; residuals outside
     the current span with HS norm above 1e-10 times the largest generator
     norm join the basis at depth 1 + max(parent depths).  Iteration stops at
-    closure or when ``max_dim`` is hit; hitting the cap is flagged, not an
-    error, and the reported closure_defect is then the largest remaining
-    residual.  A generator set whose span is empty at that tolerance (a
-    coefficient whose square underflows, say) is a ValueError, like an empty
-    list, a ``max_dim`` below 1 or a span larger than ``max_dim``.
+    closure or when such a residual would take the basis past ``max_dim``;
+    hitting the cap is flagged, not an error, and the reported
+    closure_defect is then the largest remaining residual.  A basis that
+    fills the cap and is closed there is converged.  A generator set whose
+    span is empty at that tolerance (a coefficient whose square underflows,
+    say) is a ValueError, like an empty list, a ``max_dim`` below 1 or a span
+    larger than ``max_dim``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -220,13 +222,13 @@ def lie_closure(generators: list[PauliSum], max_dim: int | None = None) -> LieBa
             for i in range(len(basis)):
                 if i == j:
                     continue
-                if len(basis) >= max_dim:
-                    capped = True
-                    break
                 br = basis[i].commutator(basis[j]).prune()
                 r = _project_residual(br, basis, holders)
                 norm = r.hs_norm()
                 if norm > tol:
+                    if len(basis) >= max_dim:
+                        capped = True
+                        break
                     basis.append((1.0 / norm) * r)
                     _hold(holders, basis[-1], len(basis) - 1)
                     depths.append(1 + max(depths[i], depths[j]))

@@ -1,21 +1,21 @@
-"""Exact Pauli-string operator algebra.
+"""Exact Pauli-string operator algebra on packed integer keys.
 
-Conventions
------------
-* A Pauli string is written with qubit 0 leftmost: ``"XIZ"`` acts with X on
-  qubit 0, identity on qubit 1, Z on qubit 2.
-* Dense materialization uses the same order, ``kron(op(q0), op(q1), ...)``,
-  so qubit 0 is the most significant bit of the computational-basis index and
-  ``|0...0>`` has index 0.
-* Products track the phase symbolically (always one of +-1, +-i times the
-  coefficient product), so commutators and Hilbert-Schmidt inner products of
-  string combinations are exact up to float rounding of the coefficients.
+A Pauli string on n qubits is stored as the integer key ``(x << n) | z`` of
+two n-bit masks, with qubit 0 as the top bit of each.  The key stands for
+i^{|x&z|} X^x Z^z, where |.| counts set bits, so a qubit with x = z = 1
+carries i X Z = Y.  Qubit 0 is also the top bit of a computational-basis
+index, so ``|0...0>`` has index 0 and row r of a string's matrix holds its
+one entry at column r ^ x.  A product of two strings is i^k times a string,
+with k counted from the bits of their symplectic form (Aaronson & Gottesman
+2004, quant-ph/0406196), so commutators and Hilbert-Schmidt inner products
+are exact up to float rounding of the coefficients.
 
-Every operator is a :class:`PauliSum`, a sparse map letters -> complex
-coefficient; one Pauli string is a sum with one term.  Since distinct unit
-strings are HS-orthogonal with squared norm 2^n, inner products reduce to
-coefficient arithmetic and never require densifying.  Hermitian sums have real
-coefficients, skew-Hermitian sums purely imaginary ones.
+Every operator is a :class:`PauliSum`, a sparse map key -> complex
+coefficient; one Pauli string is a sum with one term.  Hermitian sums have
+real coefficients, skew-Hermitian sums imaginary ones.  Letter words, with
+qubit 0 leftmost (``"XIZ"`` is X on qubit 0 and Z on qubit 2), appear only
+where text goes in or out: the ``PauliSum(n, {letters: c})`` constructor,
+``from_letters``, ``from_text``, ``to_text`` and ``single_string``.
 """
 
 from __future__ import annotations
@@ -24,45 +24,46 @@ import numpy as np
 
 PAULI_LETTERS = "IXYZ"
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# i^k for k = 0..3, with every zero part +0 (Python's -1j has a -0 real part)
+_PHASES = np.array([1, 1j, -1, -1j]) + 0.0
+_PHASE_VALUES = tuple(_PHASES.tolist())
 
-SINGLE_QUBIT = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
-
-# single-qubit products: (a, b) -> (phase, letter) with a·b = phase * letter
-_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
-def _check_letters(letters: str) -> None:
-    bad = set(letters) - set(PAULI_LETTERS)
-    if bad:
-        raise ValueError(f"invalid Pauli letters {sorted(bad)} in {letters!r}")
+def _key(letters: str, n_qubits: int) -> int:
+    if len(letters) != n_qubits or not set(letters) <= set(PAULI_LETTERS):
+        raise ValueError(f"term {letters!r} is not {n_qubits} letters from {PAULI_LETTERS}")
+    x = int(letters.translate(_X_BITS), 2)
+    return (x << n_qubits) | int(letters.translate(_Z_BITS), 2)
 
 
-def _string_product(la: str, lb: str) -> tuple[complex, str]:
-    """Product of two unit words: la * lb = phase * letters, phase in {+-1, +-i}."""
-    phase = 1 + 0j
-    letters = []
-    for ca, cb in zip(la, lb):
-        ph, cc = _PRODUCT[(ca, cb)]
-        phase *= ph
-        letters.append(cc)
-    return phase, "".join(letters)
+def _letters(key: int, n_qubits: int) -> str:
+    x, z = key >> n_qubits, key & ((1 << n_qubits) - 1)
+    return "".join("IZXY"[2 * (x >> s & 1) + (z >> s & 1)] for s in range(n_qubits - 1, -1, -1))
 
 
-def _string_dense(letters: str, coeff: complex) -> np.ndarray:
-    """Dense coeff * kron(op(q0), op(q1), ...)."""
-    mat = np.array([[coeff]], dtype=complex)
-    for ch in letters:
-        mat = np.kron(mat, SINGLE_QUBIT[ch])
-    return mat
+def _product(ka: int, kb: int, n_qubits: int) -> tuple[int, int]:
+    """(k, key) with string ka times string kb = i^k times string key."""
+    mask = (1 << n_qubits) - 1
+    xa, za, xb, zb = ka >> n_qubits, ka & mask, kb >> n_qubits, kb & mask
+    # X^xa Z^za X^xb Z^zb = (-1)^{|za&xb|} X^(xa^xb) Z^(za^zb)
+    k = (
+        (xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+        - ((xa ^ xb) & (za ^ zb)).bit_count()
+    )
+    return k % 4, ka ^ kb
+
+
+def string_action(key: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The string's matrix as (cols, phases): row r holds phases[r] at cols[r].
+
+    So P|v> is ``phases * v[cols]``; X^x Z^z has sign (-1)^{|c&z|} at c = r ^ x.
+    """
+    x, z = key >> n_qubits, key & ((1 << n_qubits) - 1)
+    cols = np.arange(1 << n_qubits) ^ x
+    return cols, _PHASES[((x & z).bit_count() + 2 * np.bitwise_count(cols & z)) % 4]
 
 
 def _format_coeff(c: complex) -> str:
@@ -81,7 +82,8 @@ def _parse_coeff(text: str) -> complex:
 class PauliSum:
     """Sparse complex combination of Pauli strings on a fixed qubit count.
 
-    Instances are treated as immutable values; arithmetic returns new sums.
+    ``terms`` maps each string's key to its nonzero coefficient.  Instances
+    are treated as immutable values; arithmetic returns new sums.
     """
 
     __slots__ = ("n_qubits", "terms")
@@ -90,14 +92,8 @@ class PauliSum:
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         self.n_qubits = n_qubits
-        clean: dict[str, complex] = {}
-        for letters, coeff in (terms or {}).items():
-            if len(letters) != n_qubits:
-                raise ValueError(f"term {letters!r} has wrong length for n={n_qubits}")
-            _check_letters(letters)
-            if coeff != 0:
-                clean[letters] = complex(coeff)
-        self.terms = clean
+        keyed = {_key(letters, n_qubits): coeff for letters, coeff in (terms or {}).items()}
+        self.terms = {k: complex(v) for k, v in keyed.items() if v != 0}
 
     # -- constructors -------------------------------------------------------
 
@@ -138,10 +134,34 @@ class PauliSum:
             terms[letters] = terms.get(letters, 0) + coeff
         return cls(n_qubits, terms)
 
+    @classmethod
+    def from_dense(cls, n_qubits: int, matrix: np.ndarray) -> "PauliSum":
+        """Expand a dense operator in Pauli strings, in ``all_strings`` order.
+
+        Each coefficient is Tr(P^dagger M) / 2^n, whose diagonal entry r is
+        conj(P[c, r]) M[c, r] at c = cols[r], summed as ``np.trace`` sums it.
+        """
+        dim = 2 ** n_qubits
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix has shape {matrix.shape}, expected {(dim, dim)}")
+        rows = np.arange(dim)
+        terms: dict[int, complex] = {}
+        for letters in all_strings(n_qubits):
+            key = _key(letters, n_qubits)
+            cols, phases = string_action(key, n_qubits)
+            coeff = complex(np.sum(phases[cols].conj() * matrix[cols, rows])) / dim
+            if abs(coeff) > 1e-14:
+                terms[key] = coeff
+        return cls(n_qubits)._like(terms)
+
     # -- arithmetic ---------------------------------------------------------
 
-    def _like(self, terms: dict[str, complex]) -> "PauliSum":
-        return PauliSum(self.n_qubits, terms)
+    def _like(self, terms: dict[int, complex]) -> "PauliSum":
+        """A sum on the same qubits; the keys are taken as valid, zeros dropped."""
+        out = object.__new__(PauliSum)
+        out.n_qubits = self.n_qubits
+        out.terms = {k: complex(v) for k, v in terms.items() if v != 0}
+        return out
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_compatible(other)
@@ -160,16 +180,14 @@ class PauliSum:
         """Operator product (PauliSum) or scalar product (number)."""
         if isinstance(other, PauliSum):
             self._check_compatible(other)
-            terms: dict[str, complex] = {}
-            for la, ca in self.terms.items():
-                for lb, cb in other.terms.items():
-                    phase, letters = _string_product(la, lb)
-                    terms[letters] = terms.get(letters, 0) + phase * ca * cb
+            n = self.n_qubits
+            terms: dict[int, complex] = {}
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    k, key = _product(ka, kb, n)
+                    terms[key] = terms.get(key, 0) + _PHASE_VALUES[k] * ca * cb
             return self._like(terms)
         return self._like({k: other * v for k, v in self.terms.items()})
-
-    def __neg__(self) -> "PauliSum":
-        return (-1.0) * self
 
     def commutator(self, other: "PauliSum") -> "PauliSum":
         return self * other - other * self
@@ -209,23 +227,25 @@ class PauliSum:
         """(letters, coefficient) of the sum's only term, or None for other sums."""
         if len(self.terms) != 1:
             return None
-        return next(iter(self.terms.items()))
+        (key, coeff), = self.terms.items()
+        return _letters(key, self.n_qubits), coeff
 
     # -- materialization / serialization ------------------------------------
 
     def dense(self) -> np.ndarray:
         dim = 2 ** self.n_qubits
+        rows = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for letters, coeff in self.terms.items():
-            out += _string_dense(letters, coeff)
+        for key, coeff in self.terms.items():
+            cols, phases = string_action(key, self.n_qubits)
+            out[rows, cols] += coeff * phases
         return out
 
     def to_text(self) -> str:
         if not self.terms:
             return "0.0*" + "I" * self.n_qubits
-        return " + ".join(
-            f"{_format_coeff(coeff)}*{letters}" for letters, coeff in sorted(self.terms.items())
-        )
+        words = sorted((_letters(k, self.n_qubits), c) for k, c in self.terms.items())
+        return " + ".join(f"{_format_coeff(coeff)}*{letters}" for letters, coeff in words)
 
     def _check_compatible(self, other: "PauliSum") -> None:
         if self.n_qubits != other.n_qubits:

@@ -27,7 +27,7 @@ from . import linalg
 from .circuits import CircuitSpec, ParamSlot, build_ansatz
 from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
 from .lie import apply_random_trunc, lie_closure, orthonormalize_sums
-from .pauli import PauliSum, all_strings, SINGLE_QUBIT
+from .pauli import PauliSum, all_strings
 from .robustness import trial_batch
 from .sweep import SweepConfig, cell_seed, run_sweep, records_csv_text
 from .trainability import (
@@ -45,6 +45,15 @@ from .util import _one_blas_thread, rng_from
 # ---------------------------------------------------------------------------
 # Brute-force closure oracle (dense, coefficient-space rank tracking)
 # ---------------------------------------------------------------------------
+
+
+# the one-qubit Pauli matrices, for an oracle that shares no code with the engine
+SINGLE_QUBIT = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 @cache

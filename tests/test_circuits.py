@@ -435,7 +435,7 @@ def test_circuit_json_matrix_slot_loads_as_pauli_sum():
     h, data = _matrix_slot_document()
     c = circuit_from_json(data)
     gen = c.param_slots[0].generator
-    assert gen.terms == pytest.approx({"X": 0.6, "Z": 0.8})
+    assert gen.terms == pytest.approx(PauliSum(1, {"X": 0.6, "Z": 0.8}).terms)
     theta = np.array([0.5, 0.0])
     want = scipy_expm(-0.5j * h) @ np.array([1, 0], dtype=complex)
     np.testing.assert_allclose(c.evolve(theta), want, atol=1e-12)

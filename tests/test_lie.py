@@ -1,10 +1,13 @@
 """Closure engine, structured and random truncation, reduced models."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepqc.circuits import build_ansatz
+from liepqc.circuits import CircuitSpec, ParamSlot, build_ansatz, circuit_to_json
 from liepqc.lie import (
     apply_lie_trunc,
     apply_random_trunc,
@@ -105,6 +108,15 @@ def test_closure_cap_flags_defect():
     assert basis.dim == 2
     assert not basis.converged
     assert basis.closure_defect > 0.1
+
+
+def test_closure_closed_at_its_own_cap_is_converged():
+    # su(2) fills a cap of 3 exactly: nothing lies outside, so nothing is cut off
+    for gens in ([skew(1, "X"), skew(1, "Y"), skew(1, "Z")], [skew(1, "X"), skew(1, "Y")]):
+        basis = lie_closure(gens, max_dim=3)
+        assert basis.dim == 3
+        assert basis.converged
+        assert basis.closure_defect == 0.0
 
 
 def test_closure_requires_skew():
@@ -318,3 +330,59 @@ def test_lie_trunc_model_slots_recover_unit_strings():
     texts = sorted(op.generator_text() for op in model.param_slots)
     assert texts == ["IY", "IZ", "YI", "ZI"]
     assert report.truncated_dim == 4
+
+
+# ---------------------------------------------------------------------------
+# Text outputs, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _multi_string_circuit():
+    rng = np.random.default_rng(5)
+    words = [("ZZI", "XII"), ("IZZ", "IXI"), ("IIX", "ZIZ"), ("XII", "IXI", "IIX")]
+    return CircuitSpec(
+        3, [ParamSlot(PauliSum(3, {w: float(rng.normal()) for w in ws})) for ws in words]
+    )
+
+
+# sha256 of the JSON that `liepqc closure` and `liepqc truncate --mode lie` /
+# `--mode random` (keep 2, seed 0) print; a change of term order, of a signed
+# zero or of a last bit in any element shows here
+PINNED_TEXT = {
+    "full_hea_n2": (
+        "cd91d0f54382a2ab2de80a515d3e1ecc39a7fa05bff15734d40d025ffd46482b",
+        "1125c2d43b3ea90f67bd89135fd097b7bdd56728c23eb512a97788e17ef77627",
+        "85228c97413ad1d8da9939ebb81222a8981877ca629a5897085855cf0d305529",
+    ),
+    "full_hea_n3": (
+        "a911d1233c8efc5e03282457d416116d70ca7b1aeb69f951f58ffe7994b1bbb2",
+        "a0c4cd79b76b54865b373e3a9b33df0468971951f0f11c37ce33b3097e68cb14",
+        "9baf962a291906d10b16f71e03fb82de6277c404a85023f62be824213b704130",
+    ),
+    "full_hea_n4": (
+        "197b95f79ac943fb9b19fefd094bbf8b3a0c059e625ab0d1cb00074b59db53d4",
+        "8f98c459f5570af2f9cef2e116dcc0aa1575f2e57e5a26fb4d69bdd948942527",
+        "c6de96931d5624f39487dce92589850b73cd1039c1b65c1e82b2a77123ca1423",
+    ),
+    "multi_string_n3": (
+        "7cee5a837f57959216778bee9810acc416a19e9d8f204a47adda92948cd9dcf3",
+        "d69777b0aad5243f05b81e3f449614a39db2be4ccbf0a588024631b7ae483115",
+        "22521e5ee42dc1aceec9d83e78e08ebf6bfae37570e75f94768e7809d09ea146",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TEXT))
+def test_closure_and_truncation_json_bytes_are_pinned(name):
+    circuit = _multi_string_circuit() if name.startswith("multi") else build_ansatz(
+        "full_hea", int(name[-1]), 2
+    )
+    closure = lie_closure(circuit.skew_generators())
+    texts = [json.dumps(closure.to_json(), indent=2)]
+    for model, basis, report in (
+        apply_lie_trunc(circuit, closure),
+        apply_random_trunc(circuit, keep=2, seed=0),
+    ):
+        doc = {"basis": basis.to_json(), "report": report.to_json(), "model": circuit_to_json(model)}
+        texts.append(json.dumps(doc, indent=2))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == PINNED_TEXT[name]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepqc.circuits import ParamSlot
-from liepqc.pauli import PauliSum, all_strings
+from liepqc.pauli import PauliSum, all_strings, string_action
+from liepqc.verify import SINGLE_QUBIT
 
 
 def word(letters, coeff=1.0):
@@ -13,15 +14,15 @@ def word(letters, coeff=1.0):
 
 
 def test_product_xy_is_iz():
-    assert (word("X") * word("Y")).terms == {"Z": 1j}
+    assert (word("X") * word("Y")).terms == word("Z", 1j).terms
 
 
 def test_product_involution():
-    assert (word("X") * word("X")).terms == {"I": 1.0}
+    assert (word("X") * word("X")).terms == word("I").terms
 
 
 def test_product_disjoint_supports():
-    assert (word("XI") * word("IY")).terms == {"XY": 1.0}
+    assert (word("XI") * word("IY")).terms == word("XY").terms
 
 
 def test_product_qubit_mismatch_raises():
@@ -162,3 +163,90 @@ def test_rotation_dense_matches_series():
     got = ParamSlot(PauliSum.from_letters(2, "YX")).matrix(theta)
     want = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * p
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The packed-key engine against oracles that share none of its code
+# ---------------------------------------------------------------------------
+
+
+def kron_dense(letters):
+    """coeff-1 kron(op(q0), op(q1), ...), summed into zeros as a dense sum is.
+
+    The sum into zeros turns the -0 parts that kron leaves into +0.
+    """
+    m = np.array([[1.0]], dtype=complex)
+    for ch in letters:
+        m = np.kron(m, SINGLE_QUBIT[ch])
+    return np.zeros_like(m) + m
+
+
+def trace_expansion(matrix, n):
+    """Tr(P^dagger M) / 2^n over every string, in all_strings order."""
+    dim = 2 ** n
+    terms = {}
+    for letters in all_strings(n):
+        p = kron_dense(letters)
+        coeff = complex(np.trace(p.conj().T @ matrix)) / dim
+        if abs(coeff) > 1e-14:
+            terms[letters] = coeff
+    return terms
+
+
+def test_dense_and_gather_match_kron_oracle_bytes():
+    for n in (1, 2, 3):
+        rows = np.arange(2 ** n)
+        for letters in all_strings(n):
+            want = kron_dense(letters)
+            assert word(letters).dense().tobytes() == want.tobytes(), letters
+            # the gather's phases are the matrix entries, signed zeros included
+            (key,) = word(letters).terms
+            cols, phases = string_action(key, n)
+            assert np.count_nonzero(want[rows, cols]) == 2 ** n
+            assert phases.tobytes() == want[rows, cols].tobytes(), letters
+
+
+def test_from_dense_matches_trace_expansion_bytes():
+    for k in range(10):
+        rng = np.random.default_rng([31, k])
+        n = 1 + k % 5
+        dim = 2 ** n
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        want = trace_expansion(matrix, n)
+        got = PauliSum.from_dense(n, matrix)
+        assert got.to_text() == PauliSum(n, want).to_text()
+        assert np.array(list(got.terms.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+@st.composite
+def _unit_words(draw, count):
+    n = draw(st.integers(1, 5))
+    return [draw(_words(n)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_words(1), st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                          allow_nan=False, allow_infinity=False))
+def test_letters_key_round_trip_property(words, coeff):
+    (letters,) = words
+    assert PauliSum.from_letters(len(letters), letters, coeff).single_string() == (letters, coeff)
+    assert PauliSum.from_text(len(letters), word(letters).to_text()).single_string() == (letters, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_words(2))
+def test_unit_string_product_dense_property(words):
+    a, b = (word(w) for w in words)
+    assert np.array_equal((a * b).dense(), a.dense() @ b.dense())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_words(1), st.integers(0, 2**32 - 1))
+def test_string_action_gather_matches_dense_property(words, seed):
+    (letters,) = words
+    n = len(letters)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    (key,) = word(letters).terms
+    cols, phases = string_action(key, n)
+    assert np.array_equal(phases * v[cols], word(letters).dense() @ v)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liepqc.circuits import CircuitSpec, ParamSlot, build_ansatz, dense_to_pauli_sum
+from liepqc.circuits import CircuitSpec, ParamSlot, build_ansatz
 from liepqc.pauli import PauliSum
 from liepqc.robustness import perturbation_bound_check, random_skew, trial_batch
 from liepqc.util import rng_from
@@ -107,7 +107,7 @@ def test_loss_deviation_within_bound_implied_estimate():
     ops = []
     for i, op in enumerate(base.ops):
         if isinstance(op, ParamSlot):
-            noise = dense_to_pauli_sum(1j * random_skew(3, rng_from(21, "generator_noise", i)), 3)
+            noise = PauliSum.from_dense(3, 1j * random_skew(3, rng_from(21, "generator_noise", i)))
             op = ParamSlot(op.generator + eps * noise)
         ops.append(op)
     noisy = CircuitSpec(3, ops)

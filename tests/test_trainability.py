@@ -76,9 +76,9 @@ def test_gradient_matches_finite_differences_both_losses():
 
 def test_tfim_hamiltonian_structure():
     h = tfim_hamiltonian(3, 1.0, 1.0)
-    assert h.terms == {
+    assert h.terms == PauliSum(3, {
         "ZZI": -1.0, "IZZ": -1.0, "XII": -1.0, "IXI": -1.0, "IIX": -1.0,
-    }
+    }).terms
 
 
 def test_vqe_variational_bound():
