@@ -135,20 +135,24 @@ class FixedGate:
 
     def __init__(self, matrix: np.ndarray, label: str = "fixed"):
         matrix = np.asarray(matrix, dtype=complex)
-        dim = matrix.shape[0]
-        err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
-        if err > NORM_TOL:
-            raise ValueError(f"fixed gate is not unitary (deviation {err:.2e})")
-        self.matrix_value = matrix
-        self.label = label
-        self.n_qubits = int(np.log2(dim))
+        dim = matrix.shape[0] if matrix.ndim == 2 else 0
+        if dim < 2 or dim & (dim - 1) or matrix.shape != (dim, dim):
+            raise ValueError(f"fixed gate must be 2^n x 2^n with n >= 1, got shape {matrix.shape}")
         diag = np.diagonal(matrix)
         is_sign = (
             np.count_nonzero(matrix) == dim
             and not diag.imag.any()
             and bool(np.all(np.abs(diag.real) == 1.0))
         )
-        # a diagonal +-1 gate (such as the CZ ring) acts as a sign vector
+        # a diagonal +-1 gate (such as the CZ ring) is unitary as it stands and
+        # acts as a sign vector; any other gate pays the dense U^H U check
+        if not is_sign:
+            err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
+            if err > NORM_TOL:
+                raise ValueError(f"fixed gate is not unitary (deviation {err:.2e})")
+        self.matrix_value = matrix
+        self.label = label
+        self.n_qubits = int(np.log2(dim))
         self.signs: np.ndarray | None = diag.copy() if is_sign else None
 
     def apply(self, state: np.ndarray) -> np.ndarray:
@@ -235,17 +239,25 @@ class CircuitSpec:
             raise ValueError(f"theta has shape {theta.shape}, circuit expects {expected}")
         return theta
 
-    def evolve(self, theta: np.ndarray) -> np.ndarray:
-        theta = self._check_theta(theta)
-        state = self.initial_state
+    def _forward(self, angles, batch: tuple[int, ...]) -> np.ndarray:
+        """The initial state and the state after each op, (n_ops + 1, *batch, dim).
+
+        ``angles[k]`` is slot k's angle: a scalar, or an (S, 1) column against
+        a batch of S states.
+        """
+        states = np.empty((len(self.ops) + 1, *batch, self.dim), dtype=complex)
+        states[0] = self.initial_state
         k = 0
-        for op in self.ops:
+        for i, op in enumerate(self.ops):
             if isinstance(op, ParamSlot):
-                state = op.apply(theta[k], state)
+                states[i + 1] = op.apply(angles[k], states[i])
                 k += 1
             else:
-                state = op.apply(state)
-        return state
+                states[i + 1] = op.apply(states[i])
+        return states
+
+    def evolve(self, theta: np.ndarray) -> np.ndarray:
+        return self._forward(self._check_theta(theta), ())[-1]
 
     def tangent_frame(self, theta: np.ndarray) -> TangentFrame:
         """Frame at one parameter point, or at each row of an (S, L) stack.
@@ -260,22 +272,13 @@ class CircuitSpec:
         # states and an (S, 1, 1) one against the (S, dim, dim) products
         fwd = theta if not batch else theta.T[..., None]
         bwd = theta if not batch else fwd[..., None]
-
-        # forward pass: state after each op
-        states = np.empty((n_ops + 1, *batch, self.dim), dtype=complex)
-        states[0] = self.initial_state
-        k = 0
-        for i, op in enumerate(self.ops):
-            if isinstance(op, ParamSlot):
-                states[i + 1] = op.apply(fwd[k], states[i])
-                k += 1
-            else:
-                states[i + 1] = op.apply(states[i])
+        states = self._forward(fwd, batch)
 
         # backward pass: acc is the product of the ops after op i, None while
         # that is the identity; a slot's column is taken before acc absorbs it
         partials = np.empty((*batch, self.dim, self.num_params), dtype=complex)
         acc = None
+        k = self.num_params
         for i in range(n_ops - 1, -1, -1):
             op = self.ops[i]
             if isinstance(op, ParamSlot):
@@ -322,22 +325,23 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
     """Construct a named ansatz family.
 
     ``full_hea``: per layer, one R_Y slot and one R_Z slot per qubit followed
-    by a fixed CZ ring, repeated ``depth`` times (L = 2 * n * depth).  The
-    truncated models derived from it are built by ``lie.apply_lie_trunc`` and
-    ``lie.apply_random_trunc``.
+    by a fixed CZ ring, repeated ``depth`` times (L = 2 * n * depth).  One
+    layer's ops are built once and every layer holds the same objects, which
+    is safe because ops are immutable: the circuit has 2n + 1 distinct ops (2n
+    at n = 1) at every depth.  The truncated models derived from it are built
+    by ``lie.apply_lie_trunc`` and ``lie.apply_random_trunc``.
     """
     if n_qubits < 1 or depth < 1:
         raise ValueError("n_qubits and depth must be >= 1")
     if family == "full_hea":
-        ops: list[ParamSlot | FixedGate] = []
-        for _ in range(depth):
-            for q in range(n_qubits):
-                ops.append(ParamSlot(_single_letter(n_qubits, q, "Y"), label=f"RY{q}"))
-            for q in range(n_qubits):
-                ops.append(ParamSlot(_single_letter(n_qubits, q, "Z"), label=f"RZ{q}"))
-            if n_qubits >= 2:
-                ops.append(FixedGate(cz_ring_matrix(n_qubits), label="cz_ring"))
-        return CircuitSpec(n_qubits, ops, family="full_hea", depth=depth)
+        layer: list[ParamSlot | FixedGate] = [
+            ParamSlot(_single_letter(n_qubits, q, letter), label=f"R{letter}{q}")
+            for letter in "YZ"
+            for q in range(n_qubits)
+        ]
+        if n_qubits >= 2:
+            layer.append(FixedGate(cz_ring_matrix(n_qubits), label="cz_ring"))
+        return CircuitSpec(n_qubits, layer * depth, family="full_hea", depth=depth)
     raise ValueError(f"unknown ansatz family {family!r}")
 
 

@@ -341,38 +341,26 @@ def _depth_histogram(depths: list[int]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def distinct_directions(generators: list[PauliSum]) -> list[PauliSum]:
-    """First occurrence of each generator direction (collinear duplicates merged)."""
-    kept: list[PauliSum] = []
-    for g in generators:
-        norm_g = g.hs_norm()
-        if norm_g == 0.0:
-            continue
-        collinear = any(
-            abs(abs(k.hs_inner(g)) - k.hs_norm() * norm_g) <= 1e-10 * k.hs_norm() * norm_g
-            for k in kept
-        )
-        if not collinear:
-            kept.append(g)
-    return kept
-
-
 def random_trunc(
     generators: list[PauliSum], keep: int, seed: int
 ) -> tuple[LieBasis, TruncationReport]:
     """Keep a uniform random subset of generator directions, ignoring structure.
 
-    Sampling is over distinct directions, without replacement, seeded.  The
-    returned basis spans only the kept directions; span_preserved is False
-    whenever keep is below the full span dimension.
+    The directions are the generators that the span's Gram-Schmidt pass
+    admits, in input order: a generator inside the span of those before it
+    (a collinear duplicate, or a sum such as i(X+Y) after iX and iY) is not
+    one.  ``keep`` therefore lies in [1, span dimension].  Sampling is over
+    these directions, without replacement, seeded.  The returned basis spans
+    only the kept directions; span_preserved is False whenever keep is below
+    the span dimension.
     """
-    directions = distinct_directions(generators)
+    tol = _default_tol(generators)
+    span, residuals = orthonormalize_sums(generators, tol)
+    directions = [g for i, g in enumerate(generators) if residuals[i] > tol]
     if not 1 <= keep <= len(directions):
         raise ValueError(
-            f"keep={keep} out of range for {len(directions)} distinct directions"
+            f"keep={keep} out of range for a generator span of dimension {len(directions)}"
         )
-    tol = _default_tol(generators)
-    span_dim = len(orthonormalize_sums(generators, tol)[0])
     rng = rng_from(seed, "random_trunc")
     chosen = sorted(rng.choice(len(directions), size=keep, replace=False).tolist())
     kept = [directions[i] for i in chosen]
@@ -380,12 +368,12 @@ def random_trunc(
     basis, _ = orthonormalize_sums(kept, tol)
     defect = _closure_defect(basis)
     report = TruncationReport(
-        original_dim=span_dim,
+        original_dim=len(span),
         truncated_dim=len(basis),
         kept_depths={0: len(basis)},
         closure_defect_before=0.0,
         closure_defect_after=defect,
-        span_preserved=len(basis) >= span_dim,
+        span_preserved=len(basis) >= len(span),
     )
     trunc = LieBasis(
         dim_hilbert=2 ** generators[0].n_qubits,
@@ -443,16 +431,19 @@ def truncated_circuit(
 def reassign_slots(circuit: CircuitSpec, kept: list[PauliSum]) -> CircuitSpec:
     """Overwrite each trainable slot's generator round-robin from a kept set.
 
-    Fixed gates and the parameter count are untouched; only the span of the
+    One slot is built per kept generator and reused at every position it
+    takes, so the model holds ``len(kept)`` distinct slot objects.  Fixed
+    gates and the parameter count are untouched; only the span of the
     generator set collapses.
     """
     if not kept:
         raise ValueError("kept generator set is empty")
+    slots = [ParamSlot(h) for h in kept]
     ops: list[ParamSlot | FixedGate] = []
     k = 0
     for op in circuit.ops:
         if isinstance(op, ParamSlot):
-            ops.append(ParamSlot(kept[k % len(kept)]))
+            ops.append(slots[k % len(slots)])
             k += 1
         else:
             ops.append(op)

@@ -11,7 +11,7 @@ skew algebra, an entirely separate code path from the production closure.
 with the checks that need no sweep (see its docstring).  Criteria 2, 3 and 4
 read the shared sweep's records and criterion 10 compares the sweeps.
 Called on their own without records, criteria 3, 4 and 10 run the sweeps
-themselves and criterion 2 rebuilds its cell.
+themselves and criterion 2 runs its one cell through ``sweep.run_cell``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 from . import linalg
 from .circuits import CircuitSpec, ParamSlot, build_ansatz
 from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
-from .lie import apply_random_trunc, lie_closure, orthonormalize_sums
+from .lie import lie_closure, orthonormalize_sums
 from .pauli import PauliSum, all_strings
 from .robustness import trial_batch
-from .sweep import SweepConfig, cell_seed, run_sweep, records_csv_text
+from .sweep import SweepConfig, run_cell, run_sweep, records_csv_text
 from .trainability import (
     LossSpec,
     _expectation,
@@ -185,22 +185,18 @@ def check_random_collapse(config: SweepConfig | None = None, records=None) -> di
     """Keep-2 random truncation at n=6 collapses to rank 2 with d_eff near 2.
 
     Rank and d_eff are read from the ``(6, "random_trunc")`` record of
-    ``config``'s sweep when ``records`` holds one; otherwise the cell's model
-    is rebuilt and its metric averaged over the config's sample count.
+    ``config``'s sweep when ``records`` holds one; otherwise ``run_cell``
+    runs that cell of ``config``, so the check reads the same whether or not
+    the sweep covers n = 6.
     """
     config = config or SweepConfig()
     cell = next(
         (r for r in records or () if (r.n, r.method) == (6, "random_trunc")), None
     )
-    if cell is not None:
-        rank, d_eff = cell.rank, cell.d_eff
-    else:
-        seed = cell_seed(config.master_seed, 6, "random_trunc")
+    if cell is None:
         base = build_ansatz("full_hea", 6, config.depth)
-        model, _, _ = apply_random_trunc(base, keep=config.random_keep, seed=seed)
-        sampling = SamplingSpec(n_samples=config.sampling.n_samples, seed=seed)
-        rep = empirical_metric(model, sampling)
-        rank, d_eff = rep.rank, rep.d_eff
+        cell = run_cell(config, 6, "random_trunc", base, lie_closure(base.skew_generators()))
+    rank, d_eff = cell.rank, cell.d_eff
     rank_ok = rank == 2
     deff_ok = 1.5 <= d_eff <= 2.0 + 1e-9
     margin = min(d_eff - 1.5, 2.0 + 1e-9 - d_eff) if rank_ok else -1.0

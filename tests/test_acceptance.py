@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from liepqc.geometry import SamplingSpec
 from liepqc.sweep import SweepConfig, records_csv_text, run_sweep
 from liepqc.verify import (
     check_closure_oracle,
@@ -92,6 +93,19 @@ def test_random_collapse_reads_the_swept_cell(default_records):
     # n = 6 not swept: the check rebuilds the cell
     small = SweepConfig(qubit_range=[2, 3])
     assert check_random_collapse(small, [r for r in default_records if r.n <= 3]) == rebuilt
+
+
+def test_random_collapse_reads_the_same_whether_or_not_n6_is_swept():
+    # the rebuilt cell samples the config's own distribution, as the sweep does
+    sampling = SamplingSpec(distribution="gaussian", n_samples=10, sigma=0.3)
+    config = SweepConfig(qubit_range=[2, 3], sampling=sampling)
+    records, errors = run_sweep(
+        dataclasses.replace(config, qubit_range=[6], methods=["random_trunc"], workers=1),
+        write_files=False,
+    )
+    assert not errors
+    rebuilt, read = check_random_collapse(config), check_random_collapse(config, records=records)
+    assert (rebuilt["margin"], rebuilt["detail"]) == (read["margin"], read["detail"])
 
 
 def test_criterion_3_span_preservation(default_records):

@@ -241,9 +241,9 @@ def suffix_product_frame(c, theta):
 
 
 def frame_models():
-    """full_hea at n = 2..6, depths 1 and 2, with its two truncated models."""
+    """full_hea at n = 2..6, depths 1 to 3, with its two truncated models."""
     for n in range(2, 7):
-        for depth in (1, 2):
+        for depth in (1, 2, 3):
             base = build_ansatz("full_hea", n, depth)
             yield base
             yield apply_lie_trunc(base, lie_closure(base.skew_generators()))[0]
@@ -355,6 +355,16 @@ def test_sign_gate_detection():
 # ---------------------------------------------------------------------------
 
 
+def test_full_hea_repeats_one_layer_of_ops():
+    # every layer holds the same objects: 2n slots and, for n >= 2, one CZ ring
+    for n in (1, 2, 4):
+        distinct = 2 * n + (n >= 2)
+        for depth in (1, 2, 3):
+            c = build_ansatz("full_hea", n, depth)
+            assert len(c.ops) == depth * distinct
+            assert len({id(op) for op in c.ops}) == distinct
+
+
 def test_full_hea_layout_n2():
     c = build_ansatz("full_hea", 2, 1)
     assert c.num_params == 4
@@ -403,8 +413,13 @@ def test_derived_families_build():
 
 
 def test_fixed_gate_must_be_unitary():
-    with pytest.raises(ValueError):
-        FixedGate(np.ones((2, 2)))
+    # a +-1 diagonal skips the dense U^H U product; every other gate pays it
+    for bad in (np.ones((2, 2)), np.diag([1, 2]), np.eye(2, 4), np.eye(3), np.eye(1)):
+        with pytest.raises(ValueError):
+            FixedGate(bad)
+    for n in (2, 3, 5):
+        FixedGate(cz_ring_matrix(n))
+    FixedGate(np.diag([1, 1j]))
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_random_trunc_keep_out_of_range():
         random_trunc(gens, keep=3, seed=0)
 
 
+def test_random_trunc_keep_is_bounded_by_span_dimension():
+    # i(X+Y) lies in the span of iX and iY; 2iX is collinear with iX
+    x, y = skew(1, "X"), skew(1, "Y")
+    for gens in ([x, y, x + y], [x, 2.0 * x, y]):
+        basis, report = random_trunc(gens, keep=2, seed=0)
+        assert basis.dim == report.original_dim == 2
+        assert report.span_preserved
+        with pytest.raises(ValueError, match="span of dimension 2"):
+            random_trunc(gens, keep=3, seed=0)
+
+
 def test_random_trunc_seed_deterministic():
     gens = [skew(2, w) for w in ("ZI", "IZ", "XX", "YI", "IX")]
     a, _ = random_trunc(gens, keep=2, seed=9)
@@ -258,6 +269,10 @@ def test_reassignment_preserves_slot_count():
     model, basis, report = apply_random_trunc(base, keep=2, seed=3)
     assert model.num_params == base.num_params
     assert report.truncated_dim == 2
+    # one slot object per kept direction, reused round-robin
+    for keep in (1, 3, 8):
+        model, _, _ = apply_random_trunc(build_ansatz("full_hea", 4, 3), keep=keep, seed=keep)
+        assert len({id(s) for s in model.param_slots}) == keep
 
 
 # ---------------------------------------------------------------------------
