@@ -21,9 +21,14 @@ permutation times a phase vector.  A fixed gate that is diagonal with +-1
 entries (the CZ ring) multiplies states, and the columns of ``acc``, by its
 sign vector.  Both give the bits of the dense BLAS product they replace: each
 output entry is one product with a factor of +-1 or +-i, and BLAS sums start
-from +0 (see :func:`_as_blas_sum`).  Every remaining dense product has the
-operands it has in the plain suffix-product frame that the tests keep as an
-oracle, so the frame matches that oracle bit for bit.
+from +0 (see :func:`_as_blas_sum`).  Such a slot keeps no dense matrix:
+the backward pass's rotation ``cos * I - 1j * sin * P`` is built on its O(d)
+support, the diagonal plus (r, cols[r]), with that expression's per-entry
+arithmetic, and every other entry is +0.  The expression gives -0 at some
+of those entries, which no product that reads the matrix can tell from +0.
+Every remaining dense product has the operands it has in the plain
+suffix-product frame that the tests keep as an oracle, so the frame matches
+that oracle bit for bit.
 
 ``tangent_frame`` also takes an (S, L) stack of parameter points and runs
 both passes on all S at once: the states become (S, dim) and ``acc`` an
@@ -41,7 +46,7 @@ for the descent's one point per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +54,6 @@ from .pauli import PauliSum, string_action
 from .linalg import hermitian_eig, matvec
 
 NORM_TOL = 1e-10
-
-
-@cache
-def _identity(dim: int) -> np.ndarray:
-    """One shared read-only float identity per dimension."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
 
 
 def _as_blas_sum(x: np.ndarray) -> np.ndarray:
@@ -84,38 +81,57 @@ class ParamSlot:
         self.generator = generator
         self.n_qubits = generator.n_qubits
         self.label = label
-        self._string_cache: tuple[float, np.ndarray] | None = None
+        self._coeff: float | None = None
         terms = list(generator.terms.items())
         if len(terms) == 1 and terms[0][1].imag == 0.0:
             key, coeff = terms[0]
             cols, phases = string_action(key, self.n_qubits)
-            # P[r, cols[r]] = phases[r]; cols (r -> r ^ x) is its own inverse
-            self._string_cache = (float(coeff.real), np.diag(phases)[:, cols])
+            self._coeff = float(coeff.real)
             self._gather = (cols, phases)
+            # P[r, cols[r]] = phases[r]: the rotation's support is the diagonal
+            # plus, when cols moves r, (r, cols[r]); kept as flat indices with
+            # the identity's and P's entries there
+            dim = len(cols)
+            rows = np.arange(dim)
+            moved = rows[cols != rows]
+            self._support = (
+                np.concatenate([rows * (dim + 1), moved * dim + cols[moved]]),
+                np.concatenate([np.ones(dim), np.zeros(len(moved))]),
+                np.concatenate([np.where(cols == rows, phases, 0), phases[moved]]),
+            )
         else:
             self._dense_h = generator.dense()
             self._eig_cache = hermitian_eig(self._dense_h)
 
     def matrix(self, theta) -> np.ndarray:
         """Dense exp(-i theta H); an (S, 1, 1) stack of angles gives S matrices."""
-        if self._string_cache is not None:
-            c, p = self._string_cache
-            return np.cos(c * theta) * _identity(p.shape[0]) - 1j * np.sin(c * theta) * p
+        if self._coeff is not None:
+            cos, sin = np.cos(self._coeff * theta), np.sin(self._coeff * theta)
+            batch = np.shape(cos)[:-2]
+            support, eye_nz, p_nz = self._support
+            dim = 2 ** self.n_qubits
+            # off the support cos * I - 1j * sin * P has zeros, some -0; +0 here
+            # gives the same bits in tangent_frame's products, which sum from +0
+            out = np.zeros((*batch, dim, dim), dtype=complex)
+            if batch:
+                cos, sin = cos.reshape(*batch, 1), sin.reshape(*batch, 1)
+            out.reshape(*batch, dim * dim)[..., support] = cos * eye_nz - 1j * sin * p_nz
+            return out
         vals, vecs = self._eig_cache
         return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
     def apply(self, theta, state: np.ndarray) -> np.ndarray:
         """exp(-i theta H) |state>; (S, 1) angles act on an (S, dim) stack of states."""
-        if self._string_cache is not None:
-            c = self._string_cache[0]
+        if self._coeff is not None:
+            c = self._coeff
             return np.cos(c * theta) * state - 1j * np.sin(c * theta) * self._string_apply(state)
         vals, vecs = self._eig_cache
         return matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state))
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """-i H |state>, for one state or an (S, dim) stack."""
-        if self._string_cache is not None:
-            return -1j * self._string_cache[0] * self._string_apply(state)
+        if self._coeff is not None:
+            return -1j * self._coeff * self._string_apply(state)
         return -1j * matvec(self._dense_h, state)
 
     def _string_apply(self, state: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Experiment orchestration: build, truncate, measure, optimize, persist.
 
-One sweep cell is a (qubit count, method) pair; one qubit count is the unit
-of work.  Its task builds the ``full_hea`` base circuit and the Lie closure of
-its generators once and hands both to each method cell.  Every cell derives
-its own RNG stream from (master_seed, n, method), so results are independent
-of execution order and worker count; record rows are sorted before writing
-and floats are serialized with repr, which makes the CSV byte-reproducible.
+One sweep cell is a (qubit count, method) pair.  A task runs some method
+cells of one qubit count: it builds the ``full_hea`` base circuit and the Lie
+closure of its generators once and hands both to each of its cells.  A
+serial sweep runs one task per qubit count, with all of its methods; a pool
+runs one task per cell, so the cells of the largest count spread over the
+workers.  Every cell derives its own RNG stream from (master_seed, n,
+method), so results are independent of execution order and worker count;
+record rows are sorted before writing and floats are serialized with repr,
+which makes the CSV byte-reproducible.
 
 Cell failures are caught and recorded with their traceback; the remaining
 cells still run.  A failure while building the base or its closure is
-recorded for every method of that qubit count.
+recorded for every method of that task.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numbers
 import os
 import time
 import traceback
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -317,19 +321,19 @@ def _failure(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
-def _qubit_count_task(
-    args: tuple[SweepConfig, int]
+def _cells_task(
+    args: tuple[SweepConfig, int, Sequence[str]]
 ) -> list[tuple[int, str, SweepRecord | None, dict | None]]:
-    """Every method cell of one qubit count, sharing one base and one closure."""
-    config, n = args
+    """The given method cells of one qubit count, sharing one base and one closure."""
+    config, n, methods = args
     try:
         base = build_ansatz("full_hea", n, config.depth)
         closure = lie_closure(base.skew_generators())
-    except Exception as exc:  # no cell of this n can run: each records the failure
+    except Exception as exc:  # no cell of this task can run: each records the failure
         failure = _failure(exc)
-        return [(n, method, None, failure) for method in config.methods]
+        return [(n, method, None, failure) for method in methods]
     outcomes = []
-    for method in config.methods:
+    for method in methods:
         try:
             outcomes.append((n, method, run_cell(config, n, method, base, closure), None))
         except Exception as exc:  # cell isolation: report, do not abort the sweep
@@ -346,9 +350,9 @@ def _resolve_workers(config: SweepConfig) -> int:
     """Processes a sweep of ``config`` runs on.
 
     An explicit ``workers`` is used as given.  The automatic 0 gives one
-    process per qubit count, up to the CPUs this process may run on; inside
-    a process that a multiprocessing pool started it gives 1, so a sweep in
-    a pool child never starts a pool of its own.
+    process per qubit count, up to the CPUs this process may run on;
+    inside a process that a multiprocessing pool started it gives 1, so a
+    sweep in a pool child never starts a pool of its own.
     """
     if config.workers:
         return config.workers
@@ -367,24 +371,29 @@ def run_sweep(
     """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
 
     With more than one worker (:func:`_resolve_workers`) a process pool maps
-    over the qubit counts, so workers beyond their number idle.  It takes
-    the largest, slowest count first, so that count does not start last;
-    outcomes are sorted afterwards either way.  Its workers run BLAS on one
-    thread.  One worker runs the counts here, with no pool.
+    over the cells, one task each, so workers beyond their number idle.  It
+    takes the largest, slowest count's cells first, in method order, so that
+    count does not start last; each pooled task builds its own base and
+    closure.  Outcomes are sorted afterwards either way.  The pool's workers
+    run BLAS on one thread.  One worker runs one task per qubit count here,
+    with no pool, so each count builds one base and one closure.
     """
     workers = _resolve_workers(config)
-    tasks = [(config, n) for n in config.qubit_range]
     if workers > 1:
-        largest_first = sorted(tasks, key=lambda t: t[1], reverse=True)
+        tasks = [
+            (config, n, (method,))
+            for n in sorted(config.qubit_range, reverse=True)
+            for method in config.methods
+        ]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_one_blas_thread
         ) as pool:
-            per_n = list(pool.map(_qubit_count_task, largest_first))
+            per_task = list(pool.map(_cells_task, tasks))
     else:
-        per_n = [_qubit_count_task(t) for t in tasks]
+        per_task = [_cells_task((config, n, config.methods)) for n in config.qubit_range]
 
     method_order = {m: i for i, m in enumerate(config.methods)}
-    outcomes = [o for task_outcomes in per_n for o in task_outcomes]
+    outcomes = [o for task_outcomes in per_task for o in task_outcomes]
     outcomes.sort(key=lambda o: (o[0], method_order[o[1]]))
     records = [rec for _, _, rec, err in outcomes if rec is not None]
     errors = [

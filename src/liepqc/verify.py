@@ -187,7 +187,8 @@ def check_random_collapse(config: SweepConfig | None = None, records=None) -> di
     Rank and d_eff are read from the ``(6, "random_trunc")`` record of
     ``config``'s sweep when ``records`` holds one; otherwise ``run_cell``
     runs that cell of ``config``, so the check reads the same whether or not
-    the sweep covers n = 6.
+    the sweep covers n = 6.  That run skips the descent (``opt_steps=0``),
+    which the check never reads.
     """
     config = config or SweepConfig()
     cell = next(
@@ -195,7 +196,10 @@ def check_random_collapse(config: SweepConfig | None = None, records=None) -> di
     )
     if cell is None:
         base = build_ansatz("full_hea", 6, config.depth)
-        cell = run_cell(config, 6, "random_trunc", base, lie_closure(base.skew_generators()))
+        cell = run_cell(
+            dataclasses.replace(config, opt_steps=0), 6, "random_trunc",
+            base, lie_closure(base.skew_generators()),
+        )
     rank, d_eff = cell.rank, cell.d_eff
     rank_ok = rank == 2
     deff_ok = 1.5 <= d_eff <= 2.0 + 1e-9

@@ -95,8 +95,19 @@ def test_random_collapse_reads_the_swept_cell(default_records):
     assert check_random_collapse(small, [r for r in default_records if r.n <= 3]) == rebuilt
 
 
-def test_random_collapse_reads_the_same_whether_or_not_n6_is_swept():
-    # the rebuilt cell samples the config's own distribution, as the sweep does
+def test_random_collapse_reads_the_same_whether_or_not_n6_is_swept(monkeypatch):
+    # the rebuilt cell samples the config's own distribution, as the sweep does,
+    # and skips the descent, which the check never reads
+    import liepqc.trainability as trainability_mod
+
+    steps = []
+    real_step = trainability_mod._observable_loss_and_gradient
+
+    def counting_step(*args):
+        steps.append(args[1])
+        return real_step(*args)
+
+    monkeypatch.setattr(trainability_mod, "_observable_loss_and_gradient", counting_step)
     sampling = SamplingSpec(distribution="gaussian", n_samples=10, sigma=0.3)
     config = SweepConfig(qubit_range=[2, 3], sampling=sampling)
     records, errors = run_sweep(
@@ -104,8 +115,11 @@ def test_random_collapse_reads_the_same_whether_or_not_n6_is_swept():
         write_files=False,
     )
     assert not errors
+    assert len(steps) == config.opt_steps      # the counter sees every descent step
+    steps.clear()
     rebuilt, read = check_random_collapse(config), check_random_collapse(config, records=records)
     assert (rebuilt["margin"], rebuilt["detail"]) == (read["margin"], read["detail"])
+    assert steps == []
 
 
 def test_criterion_3_span_preservation(default_records):

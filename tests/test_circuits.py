@@ -10,6 +10,7 @@ from liepqc.circuits import (
     FixedGate,
     ParamSlot,
     TangentFrame,
+    _as_blas_sum,
     build_ansatz,
     circuit_from_json,
     circuit_to_json,
@@ -339,6 +340,47 @@ def test_string_slot_gather_bytes_match_dense_product():
                 for t in (0.7, -2.5):
                     want = np.cos(0.5 * t) * psi - 1j * np.sin(0.5 * t) * (p @ psi)
                     assert s.apply(t, psi).tobytes() == want.tobytes()
+
+
+def test_string_slot_matrix_bytes_match_dense_expression():
+    # the old dense build, cos * I - 1j * sin * P, is the oracle.  Its zeros
+    # carry either sign, and the new build may differ from it only in those
+    # signs: every product that reads the matrix sums from +0, which is what
+    # _as_blas_sum gives, and the frame oracle tests check those products' bytes
+    rng = np.random.default_rng(31)
+    angles = np.concatenate([
+        [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi], rng.uniform(-7.0, 7.0, 6),
+    ])
+    stack = angles.reshape(-1, 1, 1)
+    for n in (1, 2, 3):
+        eye = np.eye(2 ** n)
+        for letters in all_strings(n):
+            p = PauliSum.from_letters(n, letters).dense()
+            for coeff in (1.0, -0.5, 2.0):
+                s = slot(n, letters, coeff)
+                for t in angles:
+                    want = _as_blas_sum(np.cos(coeff * t) * eye - 1j * np.sin(coeff * t) * p)
+                    got = _as_blas_sum(s.matrix(t))
+                    assert got.tobytes() == want.tobytes(), (letters, coeff, t)
+                want = _as_blas_sum(np.cos(coeff * stack) * eye - 1j * np.sin(coeff * stack) * p)
+                got = _as_blas_sum(s.matrix(stack))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_string_slot_holds_no_dense_matrix():
+    # a single-string slot keeps O(dim) arrays: its gather and its support
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    for n in (1, 3, 5):
+        dim = 2 ** n
+        for letters in ("Z" * n, "X" + "I" * (n - 1), "Y" * n):
+            held = list(arrays(list(vars(slot(n, letters, -0.5)).values())))
+            assert held and max(a.size for a in held) <= 2 * dim, (letters, [a.shape for a in held])
 
 
 def test_sign_gate_detection():

@@ -1,7 +1,9 @@
 """Sweep harness: config handling, records, determinism, cell isolation, CLI."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +189,7 @@ def test_sweep_determinism_byte_identical(tmp_path):
 def test_sweep_worker_count_independent():
     import dataclasses
 
-    cfg = small_config(qubit_range=[2, 3], methods=["full", "random_trunc"])
+    cfg = small_config(qubit_range=[2, 3], methods=list(sweep_mod.KNOWN_METHODS))
     seq, _ = run_sweep(dataclasses.replace(cfg, workers=1), write_files=False)
     par, _ = run_sweep(dataclasses.replace(cfg, workers=2), write_files=False)
     assert records_csv_text(seq) == records_csv_text(par)
@@ -242,6 +244,45 @@ def test_workers_resolution(serial_pool, monkeypatch, cpus, qubit_range, workers
     records, errors = run_sweep(cfg, write_files=False)
     assert len(records) == len(qubit_range) and not errors
     assert [max_workers for max_workers, _ in serial_pool] == pool
+
+
+def test_pool_runs_one_task_per_cell_largest_n_first(serial_pool, monkeypatch):
+    tasks = []       # (n, methods) of each task, in the order it is handed out
+    real_task = sweep_mod._cells_task
+
+    def recording(args):
+        tasks.append((args[1], tuple(args[2])))
+        return real_task(args)
+
+    monkeypatch.setattr(sweep_mod, "_cells_task", recording)
+    methods = list(sweep_mod.KNOWN_METHODS)
+    cfg = small_config(qubit_range=[2, 4, 3], methods=methods, workers=2)
+    pooled, errors = run_sweep(cfg, write_files=False)
+    assert not errors
+    assert tasks == [(n, (m,)) for n in (4, 3, 2) for m in methods]
+
+    # one worker: one task per qubit count, in config order, with every method
+    tasks.clear()
+    serial, _ = run_sweep(small_config(qubit_range=[2, 4, 3], methods=methods, workers=1),
+                          write_files=False)
+    assert tasks == [(n, tuple(methods)) for n in (2, 4, 3)]
+    assert records_csv_text(pooled) == records_csv_text(serial)
+
+
+def test_pooled_base_failure_is_recorded_per_method(serial_pool, monkeypatch):
+    def failing_closure(generators):
+        raise RuntimeError("no closure")
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", failing_closure)
+    cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"], workers=2)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert not records and serial_pool
+    assert [(e["n"], e["method"]) for e in errors] == [
+        (2, "full"), (2, "lie_trunc"), (3, "full"), (3, "lie_trunc"),
+    ]
+    for err in errors:
+        assert err["error"] == "RuntimeError: no closure"
+        assert "in failing_closure" in err["traceback"]
 
 
 def test_automatic_workers_without_an_affinity_call(serial_pool, monkeypatch):
@@ -333,6 +374,26 @@ def test_cell_failure_before_any_method_is_recorded_per_method(monkeypatch):
     for err in errors:
         assert err["error"] == "RuntimeError: no closure"
         assert "in failing_closure" in err["traceback"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tiny_sweep_bytes_match_bench_reference(workers):
+    # bench/reference.json pins records.csv for every master seed of the
+    # tiny_sweep grid in bench/workloads.py; this reads it and never writes it
+    reference = json.loads(
+        (Path(__file__).parents[1] / "bench" / "reference.json").read_text()
+    )["tiny_sweep"]
+    assert len(reference) == 8
+    for master_seed, expected in reference.items():
+        cfg = SweepConfig(
+            qubit_range=[3, 4], sampling=SamplingSpec(n_samples=3), opt_steps=2,
+            master_seed=int(master_seed), workers=workers,
+        )
+        records, errors = run_sweep(cfg, write_files=False)
+        assert not errors
+        text = records_csv_text(records)
+        assert text.splitlines()[1:] == expected["rows"], master_seed
+        assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"], master_seed
 
 
 def test_json_payload_contents(tmp_path):
