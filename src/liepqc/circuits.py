@@ -7,40 +7,56 @@ factor); fixed gates are arbitrary unitaries such as entangler layers.
 
 Derivatives use the exact product rule: ``d_k psi`` inserts ``-i H_k`` at slot
 k between the prefix and suffix of the gate product.  A forward pass stores
-the state after every op.  A backward pass carries ``acc``, the dense product
-of the ops after the current one, starting from the last op's matrix; each
+the state after every op.  A backward pass carries ``acc``, the product of
+the ops after the current one, starting from the last op's matrix; each
 slot's column ``d_k psi = acc @ (-i H_k psi_k)`` is taken on the way, so no
 list of suffix unitaries is kept.  The simplified form ``-i H_k U`` that is
 sometimes quoted for commuting generators is deliberately not used: the
 metric and gradients here must match finite differences for arbitrary
-non-commuting slot sequences.
+non-commuting slot sequences.  A frame takes the cosine and sine of every
+slot angle in one call each (:meth:`CircuitSpec._trig`), and both passes
+read them.
 
-Two input properties take O(d) paths in place of dense products.  A slot
-whose generator is one Pauli string applies it as a gather: an index
-permutation times a phase vector.  A fixed gate that is diagonal with +-1
-entries (the CZ ring) multiplies states, and the columns of ``acc``, by its
-sign vector.  Both give the bits of the dense BLAS product they replace: each
-output entry is one product with a factor of +-1 or +-i, and BLAS sums start
-from +0 (see :func:`_as_blas_sum`).  Such a slot keeps no dense matrix:
-the backward pass's rotation ``cos * I - 1j * sin * P`` is built on its O(d)
-support, the diagonal plus (r, cols[r]), with that expression's per-entry
-arithmetic, and every other entry is +0.  The expression gives -0 at some
-of those entries, which no product that reads the matrix can tell from +0.
-Every remaining dense product has the operands it has in the plain
-suffix-product frame that the tests keep as an oracle, so the frame matches
-that oracle bit for bit.
+The frame matches, bit for bit, the plain suffix-product frame that the
+tests keep as an oracle, in which every op is a dense BLAS product.  Three
+input properties let it skip most of those products:
+
+* A slot whose generator is one Pauli string applies it to a state as a
+  gather: an index permutation times a phase vector.  It keeps no dense
+  matrix.  Its backward rotation ``cos * I - 1j * sin * P``, with that
+  expression's per-entry arithmetic, is a vector for a Z-only string and
+  otherwise is written on its O(d) support, the diagonal plus (r, cols[r]),
+  with every other entry +0.
+* A fixed gate that is diagonal with +-1 entries (the CZ ring) multiplies
+  states by its sign vector.
+* A product in which one factor is diagonal has one nonzero term per entry.
+  The backward pass computes it entrywise with :func:`_one_term_product`,
+  which rounds such an entry as OpenBLAS does.  This covers a diagonal
+  ``acc``, carried as a vector from the last op while the CZ rings and
+  Z-string rotations at the end of the circuit keep it diagonal, and a
+  dense ``acc`` times a sign gate or a Z-string rotation, which scales its
+  columns in O(d^2).  The first other op turns the vector into a dense
+  ``acc`` by scaling that op's rows.  A product with two nonzero terms per
+  entry, a dense ``acc`` times an X/Y-string rotation, a dense fixed gate
+  or a multi-string slot, stays a BLAS product: its bits depend on how BLAS
+  fuses the terms, which numpy cannot express.
+
+Each of these differs from the dense product at most in the sign of a zero,
+and BLAS sums start from +0 (see :func:`_as_blas_sum`).  At dim 2 OpenBLAS
+rounds one-term products another way, so a one-qubit circuit keeps every
+backward product dense.
 
 ``tangent_frame`` also takes an (S, L) stack of parameter points and runs
 both passes on all S at once: the states become (S, dim) and ``acc`` an
-(S, dim, dim) stack.  Each point keeps the bits of its own frame, because
-every step does the single frame's arithmetic slice by slice and nothing
-reduces across the stack.  Elementwise ufuncs, the cosine and sine of a
-column of angles among them, compute each entry as they compute it for one
-point; numpy's stacked matmul calls the single product's BLAS routine once
-per slice, gemm for matrix products and gemv for matrix-vector products
-(see :func:`~liepqc.linalg.matvec`).  The stacked-frame tests check this
-byte for byte.  One point keeps its scalar angles, which is the faster path
-for the descent's one point per step.
+(S, dim) or (S, dim, dim) stack.  Each point keeps the bits of its own
+frame, because every step does the single frame's arithmetic slice by slice
+and nothing reduces across the stack.  Elementwise ufuncs, the cosine and
+sine of a row of angles among them, compute each entry as they compute it
+for one point; numpy's stacked matmul calls the single product's BLAS
+routine once per slice, gemm for matrix products and gemv for
+matrix-vector products (see :func:`~liepqc.linalg.matvec`).  The
+stacked-frame tests check this byte for byte.  One point keeps its scalar
+angles, which is the faster path for the descent's one point per step.
 """
 
 from __future__ import annotations
@@ -65,13 +81,43 @@ def _as_blas_sum(x: np.ndarray) -> np.ndarray:
     return x + 0.0
 
 
+def _one_term_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entrywise (broadcast), with the bits of a BLAS product whose
+    entries each have one nonzero term, such as diag(a) @ B or A @ diag(b).
+
+    OpenBLAS keeps the real products of a complex term in accumulators that
+    start from +0 and joins them at the end: re = (ar*br + 0) - (ai*bi + 0)
+    and im = (ar*bi + 0) + (ai*br + 0), each product rounded on its own.
+    numpy's complex ``*`` fuses one product into the other's sum.  Against a
+    purely real or purely imaginary factor, though, one of the two products
+    is an exact zero, so fused or not it gives each product rounded once:
+    ``a * b.real`` and ``(a * b.imag) * 1j`` are the two halves, and the sum
+    and the final +0 give the accumulators' bits.  At dim 2 OpenBLAS takes
+    another path, which this does not reproduce.
+    """
+    out = a * b.real
+    half = a * b.imag
+    half *= 1j
+    out += half
+    out += 0.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Circuit operations
 # ---------------------------------------------------------------------------
 
 
 class ParamSlot:
-    """One trainable rotation exp(-i theta H) with a Hermitian Pauli-sum generator H."""
+    """One trainable rotation exp(-i theta H) with a Hermitian Pauli-sum generator H.
+
+    A frame takes ``cos`` and ``i_sin`` = 1j * sin of every slot's
+    ``coeff * theta`` at once (:meth:`CircuitSpec._trig`); a single-string
+    slot reads those, and a multi-string slot reads ``theta`` through its
+    eigendecomposition.  ``coeff`` is a single-string generator's real
+    coefficient, 1.0 for any other.  ``diagonal`` marks a Z-only string on
+    two or more qubits, whose backward rotation is a vector.
+    """
 
     def __init__(self, generator: PauliSum, label: str | None = None):
         if not isinstance(generator, PauliSum):
@@ -81,57 +127,73 @@ class ParamSlot:
         self.generator = generator
         self.n_qubits = generator.n_qubits
         self.label = label
-        self._coeff: float | None = None
+        self.coeff = 1.0
+        self.diagonal = False
+        self._eig_cache = None
         terms = list(generator.terms.items())
         if len(terms) == 1 and terms[0][1].imag == 0.0:
             key, coeff = terms[0]
             cols, phases = string_action(key, self.n_qubits)
-            self._coeff = float(coeff.real)
+            self.coeff = float(coeff.real)
             self._gather = (cols, phases)
-            # P[r, cols[r]] = phases[r]: the rotation's support is the diagonal
-            # plus, when cols moves r, (r, cols[r]); kept as flat indices with
-            # the identity's and P's entries there
             dim = len(cols)
             rows = np.arange(dim)
-            moved = rows[cols != rows]
-            self._support = (
-                np.concatenate([rows * (dim + 1), moved * dim + cols[moved]]),
-                np.concatenate([np.ones(dim), np.zeros(len(moved))]),
-                np.concatenate([np.where(cols == rows, phases, 0), phases[moved]]),
-            )
+            # a Z-only string fixes every index, a string with an X or Y none;
+            # at dim 2 the rotation stays dense (see _one_term_product)
+            self.diagonal = dim > 2 and not (cols != rows).any()
+            if not self.diagonal:
+                # P[r, cols[r]] = phases[r]: the rotation's support is the
+                # diagonal plus, when cols moves r, (r, cols[r]); kept as flat
+                # indices with the identity's and P's entries there
+                moved = rows[cols != rows]
+                self._support = (
+                    np.concatenate([rows * (dim + 1), moved * dim + cols[moved]]),
+                    np.concatenate([np.ones(dim), np.zeros(len(moved))]),
+                    np.concatenate([np.where(cols == rows, phases, 0), phases[moved]]),
+                )
         else:
             self._dense_h = generator.dense()
             self._eig_cache = hermitian_eig(self._dense_h)
 
-    def matrix(self, theta) -> np.ndarray:
-        """Dense exp(-i theta H); an (S, 1, 1) stack of angles gives S matrices."""
-        if self._coeff is not None:
-            cos, sin = np.cos(self._coeff * theta), np.sin(self._coeff * theta)
-            batch = np.shape(cos)[:-2]
-            support, eye_nz, p_nz = self._support
-            dim = 2 ** self.n_qubits
-            # off the support cos * I - 1j * sin * P has zeros, some -0; +0 here
-            # gives the same bits in tangent_frame's products, which sum from +0
-            out = np.zeros((*batch, dim, dim), dtype=complex)
-            if batch:
-                cos, sin = cos.reshape(*batch, 1), sin.reshape(*batch, 1)
-            out.reshape(*batch, dim * dim)[..., support] = cos * eye_nz - 1j * sin * p_nz
-            return out
-        vals, vecs = self._eig_cache
-        return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
+    def rotation(self, theta, cos, i_sin) -> np.ndarray:
+        """exp(-i theta H) for the backward pass; ``cos`` and ``i_sin`` are
+        cos and 1j * sin of ``coeff * theta``, all three scalars or (S, 1)
+        columns for S angles.
 
-    def apply(self, theta, state: np.ndarray) -> np.ndarray:
-        """exp(-i theta H) |state>; (S, 1) angles act on an (S, dim) stack of states."""
-        if self._coeff is not None:
-            c = self._coeff
-            return np.cos(c * theta) * state - 1j * np.sin(c * theta) * self._string_apply(state)
+        A :attr:`diagonal` slot gives the diagonal, (*S, dim); any other slot
+        the dense (*S, dim, dim) matrix.
+        """
+        if self._eig_cache is not None:
+            vals, vecs = self._eig_cache
+            return (vecs * np.exp(-1j * theta * vals)[..., None, :]) @ vecs.conj().T
+        if self.diagonal:           # P is its phase vector
+            return cos - i_sin * self._gather[1]
+        support, eye_nz, p_nz = self._support
+        # cos * I - 1j * sin * P on its support; its other entries are zeros,
+        # some -0, where +0 gives the same bits in every product that reads
+        # them, since those sum from +0
+        values = cos * eye_nz - i_sin * p_nz
+        batch = values.shape[:-1]
+        dim = len(self._gather[0])
+        out = np.zeros((*batch, dim * dim), dtype=complex)
+        if batch:
+            out[:, support] = values
+        else:
+            out[support] = values
+        return out.reshape(*batch, dim, dim)
+
+    def apply(self, state: np.ndarray, theta, cos, i_sin) -> np.ndarray:
+        """exp(-i theta H) |state>, with ``cos`` and ``i_sin`` as in :meth:`rotation`;
+        (S, 1) columns act on an (S, dim) stack of states."""
+        if self._eig_cache is None:
+            return cos * state - i_sin * self._string_apply(state)
         vals, vecs = self._eig_cache
         return matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state))
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """-i H |state>, for one state or an (S, dim) stack."""
-        if self._coeff is not None:
-            return -1j * self._coeff * self._string_apply(state)
+        if self._eig_cache is None:
+            return -1j * self.coeff * self._string_apply(state)
         return -1j * matvec(self._dense_h, state)
 
     def _string_apply(self, state: np.ndarray) -> np.ndarray:
@@ -169,7 +231,9 @@ class FixedGate:
         self.matrix_value = matrix
         self.label = label
         self.n_qubits = int(np.log2(dim))
-        self.signs: np.ndarray | None = diag.copy() if is_sign else None
+        # a sign vector is multiplied entrywise, which BLAS rounds the same
+        # way except at dim 2 (see _one_term_product)
+        self.signs: np.ndarray | None = diag.copy() if is_sign and dim > 2 else None
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         if self.signs is not None:
@@ -238,6 +302,7 @@ class CircuitSpec:
         self.family = family
         self.depth = depth
         self.param_slots = [op for op in self.ops if isinstance(op, ParamSlot)]
+        self._coeffs = np.array([slot.coeff for slot in self.param_slots])
 
     @property
     def num_params(self) -> int:
@@ -255,25 +320,30 @@ class CircuitSpec:
             raise ValueError(f"theta has shape {theta.shape}, circuit expects {expected}")
         return theta
 
-    def _forward(self, angles, batch: tuple[int, ...]) -> np.ndarray:
-        """The initial state and the state after each op, (n_ops + 1, *batch, dim).
+    def _trig(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slot k's angle and cos and 1j * sin of its ``coeff * theta``, each
+        computed in one call for all slots: indexed by k, scalars for one point
+        and (S, 1) columns for an (S, L) stack."""
+        scaled = self._coeffs * theta
+        trig = theta, np.cos(scaled), 1j * np.sin(scaled)
+        return trig if theta.ndim == 1 else tuple(a.T[..., None] for a in trig)
 
-        ``angles[k]`` is slot k's angle: a scalar, or an (S, 1) column against
-        a batch of S states.
-        """
+    def _forward(self, trig, batch: tuple[int, ...]) -> np.ndarray:
+        """The initial state and the state after each op, (n_ops + 1, *batch, dim)."""
+        theta, cos, i_sin = trig
         states = np.empty((len(self.ops) + 1, *batch, self.dim), dtype=complex)
         states[0] = self.initial_state
         k = 0
         for i, op in enumerate(self.ops):
             if isinstance(op, ParamSlot):
-                states[i + 1] = op.apply(angles[k], states[i])
+                states[i + 1] = op.apply(states[i], theta[k], cos[k], i_sin[k])
                 k += 1
             else:
                 states[i + 1] = op.apply(states[i])
         return states
 
     def evolve(self, theta: np.ndarray) -> np.ndarray:
-        return self._forward(self._check_theta(theta), ())[-1]
+        return self._forward(self._trig(self._check_theta(theta)), ())[-1]
 
     def tangent_frame(self, theta: np.ndarray) -> TangentFrame:
         """Frame at one parameter point, or at each row of an (S, L) stack.
@@ -284,32 +354,42 @@ class CircuitSpec:
         theta = self._check_theta(theta, stacked=True)
         n_ops = len(self.ops)
         batch = theta.shape[:-1]
-        # angle k as a scalar, or as an (S, 1) column against the (S, dim)
-        # states and an (S, 1, 1) one against the (S, dim, dim) products
-        fwd = theta if not batch else theta.T[..., None]
-        bwd = theta if not batch else fwd[..., None]
-        states = self._forward(fwd, batch)
+        trig = self._trig(theta)
+        states = self._forward(trig, batch)
+        angle, cos, i_sin = trig
 
         # backward pass: acc is the product of the ops after op i, None while
-        # that is the identity; a slot's column is taken before acc absorbs it
+        # that is the identity, a (*batch, dim) diagonal while it is one, then
+        # dense; a slot's column is taken before acc absorbs it
         partials = np.empty((*batch, self.dim, self.num_params), dtype=complex)
-        acc = None
+        acc, acc_diagonal = None, False
         k = self.num_params
         for i in range(n_ops - 1, -1, -1):
             op = self.ops[i]
             if isinstance(op, ParamSlot):
                 k -= 1
                 col = op.apply_generator(states[i + 1])
-                partials[..., k] = _as_blas_sum(col) if acc is None else matvec(acc, col)
+                if acc is None:
+                    partials[..., k] = _as_blas_sum(col)
+                elif acc_diagonal:
+                    partials[..., k] = _one_term_product(acc, col)
+                else:
+                    partials[..., k] = matvec(acc, col)
                 if k == 0:
                     break           # the ops before the first slot enter no column
-                m = op.matrix(bwd[k])
-            elif acc is not None and op.signs is not None:
-                acc = _as_blas_sum(acc * op.signs)
-                continue
+                m, diagonal = op.rotation(angle[k], cos[k], i_sin[k]), op.diagonal
+            elif op.signs is not None:
+                m, diagonal = op.signs, True
             else:
-                m = op.matrix_value
-            acc = _as_blas_sum(m) if acc is None else acc @ m
+                m, diagonal = op.matrix_value, False
+            if acc is None:
+                acc, acc_diagonal = _as_blas_sum(m), diagonal
+            elif diagonal:          # scale acc's columns; a diagonal acc stays one
+                acc = _one_term_product(acc, m if acc_diagonal else m[..., None, :])
+            elif acc_diagonal:      # scale m's rows; acc is dense from here
+                acc, acc_diagonal = _one_term_product(acc[..., :, None], m), False
+            else:
+                acc = acc @ m
         return TangentFrame(states[n_ops], partials)
 
 

@@ -212,6 +212,8 @@ class SweepRecord:
     truncated_dim: int
     closure_defect: float
     wall_time: float = 0.0
+    frames: int = 0
+    stage_s: dict[str, float] = field(default_factory=dict)
     eigenvalues: list[float] = field(default_factory=list, repr=False)
     loss_trajectory: list[float] = field(default_factory=list, repr=False)
 
@@ -261,7 +263,14 @@ def cell_seed(master_seed: int, n: int, method: str) -> int:
 def run_cell(
     config: SweepConfig, n: int, method: str, base: CircuitSpec, closure: LieBasis
 ) -> SweepRecord:
-    """One (n, method) cell on the shared ``full_hea`` base and its closure."""
+    """One (n, method) cell on the shared ``full_hea`` base and its closure.
+
+    The record's ``stage_s`` gives the seconds of the cell's three stages:
+    ``truncate`` (building the method's model), ``variance`` (the draws'
+    frames, metric and gradient variance) and ``descent``.  ``frames``
+    counts the tangent frames evaluated: one per draw and one per descent
+    step.
+    """
     start = time.perf_counter()
     seed = cell_seed(config.master_seed, n, method)
 
@@ -283,14 +292,17 @@ def run_cell(
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    truncated = time.perf_counter()
     sampling = replace(config.sampling, seed=seed)
     variance = gradient_variance(model, config.loss, sampling)
     metric = variance.metric
 
+    varied = time.perf_counter()
     theta0 = rng_from(seed, "theta0").uniform(0.0, 2.0 * np.pi, model.num_params)
     _, trajectory = gradient_descent(
         model, config.loss, theta0, config.opt_steps, config.opt_rate
     )
+    end = time.perf_counter()
 
     return SweepRecord(
         n=n,
@@ -306,7 +318,10 @@ def run_cell(
         closure_dim=closure.dim,
         truncated_dim=truncated_dim,
         closure_defect=defect,
-        wall_time=time.perf_counter() - start,
+        wall_time=end - start,
+        frames=variance.n_samples + len(trajectory) - 1,
+        stage_s={"truncate": truncated - start, "variance": varied - truncated,
+                 "descent": end - varied},
         eigenvalues=[float(v) for v in metric.eigenvalues],
         loss_trajectory=[float(v) for v in trajectory],
     )

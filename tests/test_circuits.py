@@ -11,18 +11,36 @@ from liepqc.circuits import (
     ParamSlot,
     TangentFrame,
     _as_blas_sum,
+    _one_term_product,
     build_ansatz,
     circuit_from_json,
     circuit_to_json,
     cz_ring_matrix,
 )
 from liepqc.lie import apply_lie_trunc, apply_random_trunc, lie_closure
+from liepqc.linalg import matvec
 from liepqc.pauli import PauliSum, all_strings
 from liepqc.util import complex_to_json
 
 
 def slot(n, letters, coeff=1.0):
     return ParamSlot(PauliSum.from_letters(n, letters, coeff))
+
+
+def slot_trig(op, t):
+    """A slot's (theta, cos, 1j * sin) arguments, as a frame takes them."""
+    return t, np.cos(op.coeff * t), 1j * np.sin(op.coeff * t)
+
+
+def dense_rotation(op, t):
+    """The slot's backward rotation as a dense matrix, a diagonal one spread out."""
+    m = op.rotation(*slot_trig(op, t))
+    if not op.diagonal:
+        return m
+    out = np.zeros((*m.shape, m.shape[-1]), dtype=complex)
+    idx = np.arange(m.shape[-1])
+    out[..., idx, idx] = m
+    return out
 
 
 def random_circuit(rng, n, n_slots):
@@ -212,7 +230,7 @@ def suffix_product_frame(c, theta):
             coeff, p = form
             states.append(np.cos(coeff * t) * states[-1] - 1j * np.sin(coeff * t) * (p @ states[-1]))
         elif isinstance(op, ParamSlot):
-            states.append(op.apply(t, states[-1]))
+            states.append(op.apply(states[-1], *slot_trig(op, t)))
         else:
             states.append(op.matrix_value @ states[-1])
     suffixes = [None] * len(c.ops)
@@ -224,7 +242,7 @@ def suffix_product_frame(c, theta):
             coeff, p = form
             acc = acc @ (np.cos(coeff * t) * np.eye(c.dim) - 1j * np.sin(coeff * t) * p)
         elif isinstance(op, ParamSlot):
-            acc = acc @ op.matrix(t)
+            acc = acc @ op.rotation(*slot_trig(op, t))
         else:
             acc = acc @ op.matrix_value
     partials = np.empty((c.dim, c.num_params), dtype=complex)
@@ -242,9 +260,10 @@ def suffix_product_frame(c, theta):
 
 
 def frame_models():
-    """full_hea at n = 2..6, depths 1 to 3, with its two truncated models."""
-    for n in range(2, 7):
-        for depth in (1, 2, 3):
+    """full_hea at n = 2..6, depths 1 to 3, and at n = 7, depth 1, with its
+    two truncated models."""
+    for n, depths in [*((n, (1, 2, 3)) for n in range(2, 7)), (7, (1,))]:
+        for depth in depths:
             base = build_ansatz("full_hea", n, depth)
             yield base
             yield apply_lie_trunc(base, lie_closure(base.skew_generators()))[0]
@@ -319,6 +338,123 @@ def test_stacked_frames_match_single_frames_bytes():
                     )
 
 
+@st.composite
+def _diagonal_circuits(draw):
+    """Unit-coefficient string slots (Z-only strings among them) mixed with
+    +-1 diagonal gates and CZ rings, and an (S, L) stack of angles that
+    includes 0 and +-pi."""
+    n = draw(st.integers(1, 4))
+    z_word = st.text(alphabet="IZ", min_size=n, max_size=n)
+    xy_word = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
+        lambda w: "X" in w or "Y" in w
+    )
+    kinds = ["z", "xy", "signs"] + (["cz"] if n >= 2 else [])
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "z":
+            ops.append(slot(n, draw(z_word)))
+        elif kind == "xy":
+            ops.append(slot(n, draw(xy_word)))
+        elif kind == "signs":
+            signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=2 ** n, max_size=2 ** n))
+            ops.append(FixedGate(np.diag(np.array(signs, dtype=complex)), "signs"))
+        else:
+            ops.append(FixedGate(cz_ring_matrix(n), "cz"))
+    if not any(isinstance(op, ParamSlot) for op in ops):
+        ops.append(slot(n, draw(z_word)))
+    c = CircuitSpec(n, ops)
+    angle = st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.pi / 2]), st.floats(-2 * np.pi, 2 * np.pi)
+    )
+    rows = draw(st.integers(1, 3))
+    thetas = np.array([[draw(angle) for _ in range(c.num_params)] for _ in range(rows)])
+    return c, thetas
+
+
+@settings(max_examples=80, deadline=None)
+@given(_diagonal_circuits())
+def test_diagonal_products_match_suffix_product_oracle_bytes(case):
+    # the backward pass's entrywise products (a diagonal acc, a diagonal
+    # rotation or sign gate) against the all-BLAS oracle, one point and stacked
+    c, thetas = case
+    stacked = c.tangent_frame(thetas)
+    for s, theta in enumerate(thetas):
+        want = suffix_product_frame(c, theta)
+        single = c.tangent_frame(theta)
+        for field in ("state", "partials", "projected"):
+            assert getattr(single, field).tobytes() == getattr(want, field).tobytes(), field
+            assert getattr(stacked, field)[s].tobytes() == getattr(want, field).tobytes(), field
+
+
+def _one_term_inputs(rng, shape):
+    """Complex entries with exact zeros of both signs, +-1 and +-1j mixed in."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    special = np.array([0.0, -0.0, 1.0, -1.0])
+    for part in (z.real, z.imag):
+        mask = rng.random(shape) < 0.3
+        part[mask] = rng.choice(special, size=int(mask.sum()))
+    return z
+
+
+def _diagonal_factors(rng, dim):
+    """Diagonals the backward pass multiplies by: random ones with special
+    entries, a +-1+0j sign vector, and a Z-string rotation at angle 0 and pi."""
+    n = int(np.log2(dim))
+    z_slot = slot(n, "Z" * n)
+    yield _one_term_inputs(rng, dim)
+    yield rng.choice([1.0, -1.0], size=dim) + 0j
+    for t in (0.0, np.pi):
+        yield z_slot.rotation(*slot_trig(z_slot, t))
+
+
+def test_one_term_product_bytes_match_blas():
+    # the rule behind every entrywise product of the backward pass:
+    # re = (ar*br + 0) - (ai*bi + 0), im = (ar*bi + 0) + (ai*br + 0), each
+    # product rounded; BLAS sums a one-term entry that way from dim 4 up
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        dim = 2 ** n
+        for diag in _diagonal_factors(rng, dim):
+            full = _one_term_inputs(rng, (dim, dim))
+            vec = _one_term_inputs(rng, dim)
+            d = np.diag(diag)
+            assert _one_term_product(diag[:, None], full).tobytes() == (d @ full).tobytes(), dim
+            assert _one_term_product(full, diag[None, :]).tobytes() == (full @ d).tobytes(), dim
+            assert _one_term_product(diag, vec).tobytes() == (d @ vec).tobytes(), dim
+            assert _one_term_product(diag, diag).tobytes() == (d @ d).diagonal().tobytes(), dim
+        # stacked: numpy's matmul runs BLAS slice by slice
+        diags = _one_term_inputs(rng, (3, dim))
+        fulls = _one_term_inputs(rng, (3, dim, dim))
+        vecs = _one_term_inputs(rng, (3, dim))
+        ds = np.zeros((3, dim, dim), dtype=complex)
+        ds[:, np.arange(dim), np.arange(dim)] = diags
+        assert _one_term_product(diags[..., None], fulls).tobytes() == (ds @ fulls).tobytes()
+        assert _one_term_product(fulls, diags[:, None, :]).tobytes() == (fulls @ ds).tobytes()
+        assert _one_term_product(diags, vecs).tobytes() == matvec(ds, vecs).tobytes()
+        # numpy's complex * rounds otherwise, so a BLAS that did the same would
+        # fail here and not only in the CSV pin
+        a, b = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        full = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert (a[:, None] * full).tobytes() != (np.diag(a) @ full).tobytes(), dim
+        assert (a[:, None] * full).tobytes() != _one_term_product(a[:, None], full).tobytes()
+        assert (a * b).tobytes() != _one_term_product(a, b).tobytes(), dim
+
+
+def test_one_qubit_frames_keep_blas_products():
+    # at dim 2 OpenBLAS rounds a one-term product on another path, so a
+    # one-qubit circuit takes no entrywise product: no diagonal slot, no sign gate
+    assert not slot(1, "Z").diagonal
+    assert FixedGate(np.diag([1.0, -1.0])).signs is None
+    assert slot(2, "ZZ").diagonal and slot(2, "IZ").diagonal
+    assert not slot(2, "XZ").diagonal and not slot(3, "IYI").diagonal
+    # two trailing Z rotations make a product of two general complex
+    # diagonals, where the two roundings part in most draws
+    c = CircuitSpec(1, [slot(1, w) for w in "YXZZ"])
+    for theta in np.random.default_rng(43).uniform(-np.pi, np.pi, (20, 4)):
+        got, want = c.tangent_frame(theta), suffix_product_frame(c, theta)
+        assert got.partials.tobytes() == want.partials.tobytes()
+
+
 def test_tangent_frame_rejects_bad_theta_shapes():
     c = CircuitSpec(1, [slot(1, "X")])
     for theta in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 1, 1)), 0.5):
@@ -339,7 +475,7 @@ def test_string_slot_gather_bytes_match_dense_product():
                 assert s.apply_generator(psi).tobytes() == (-1j * 0.5 * (p @ psi)).tobytes()
                 for t in (0.7, -2.5):
                     want = np.cos(0.5 * t) * psi - 1j * np.sin(0.5 * t) * (p @ psi)
-                    assert s.apply(t, psi).tobytes() == want.tobytes()
+                    assert s.apply(psi, *slot_trig(s, t)).tobytes() == want.tobytes()
 
 
 def test_string_slot_matrix_bytes_match_dense_expression():
@@ -351,7 +487,7 @@ def test_string_slot_matrix_bytes_match_dense_expression():
     angles = np.concatenate([
         [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi], rng.uniform(-7.0, 7.0, 6),
     ])
-    stack = angles.reshape(-1, 1, 1)
+    stack = angles.reshape(-1, 1)
     for n in (1, 2, 3):
         eye = np.eye(2 ** n)
         for letters in all_strings(n):
@@ -360,10 +496,12 @@ def test_string_slot_matrix_bytes_match_dense_expression():
                 s = slot(n, letters, coeff)
                 for t in angles:
                     want = _as_blas_sum(np.cos(coeff * t) * eye - 1j * np.sin(coeff * t) * p)
-                    got = _as_blas_sum(s.matrix(t))
+                    got = _as_blas_sum(dense_rotation(s, t))
                     assert got.tobytes() == want.tobytes(), (letters, coeff, t)
-                want = _as_blas_sum(np.cos(coeff * stack) * eye - 1j * np.sin(coeff * stack) * p)
-                got = _as_blas_sum(s.matrix(stack))
+                want = _as_blas_sum(
+                    np.cos(coeff * stack[..., None]) * eye - 1j * np.sin(coeff * stack[..., None]) * p
+                )
+                got = _as_blas_sum(dense_rotation(s, stack))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -106,7 +106,8 @@ def test_expm_skew_diagonal_derived():
     # and the closed-form Pauli rotation of a circuit slot
     zz = PauliSum.from_letters(2, "ZZ")
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
-    fast = ParamSlot(zz).apply(np.pi / 3, psi0)
+    t = np.pi / 3
+    fast = ParamSlot(zz).apply(psi0, t, np.cos(t), 1j * np.sin(t))
     eig = expm_skew(-1j * zz.dense(), np.pi / 3) @ psi0
     np.testing.assert_allclose(fast, eig, atol=1e-12)
     np.testing.assert_allclose(fast[0], np.exp(-1j * np.pi / 3), atol=1e-12)
@@ -120,9 +121,13 @@ def test_expm_fast_path_matches_eig_path():
         pool = [w for w in all_strings(n) if set(w) != {"I"}]
         h = PauliSum.from_letters(n, pool[rng.integers(len(pool))], rng.uniform(0.1, 2.0))
         t = rng.uniform(0.1, 2.0)
-        np.testing.assert_allclose(
-            ParamSlot(h).matrix(t), expm_skew(-1j * h.dense(), t), atol=1e-10
-        )
+        s = ParamSlot(h)
+        rotation = s.rotation(t, np.cos(s.coeff * t), 1j * np.sin(s.coeff * t))
+        want = expm_skew(-1j * h.dense(), t)
+        if s.diagonal:      # a Z-only string's rotation comes as its diagonal
+            np.testing.assert_allclose(want, np.diag(np.diagonal(want)), atol=1e-15)
+            want = np.diagonal(want)
+        np.testing.assert_allclose(rotation, want, atol=1e-10)
 
 
 def test_expm_unitary_and_inverse():

@@ -154,13 +154,13 @@ class TestPauliSum:
 
 def test_rotation_dense_identity_at_zero():
     rotation = ParamSlot(PauliSum.from_letters(2, "XZ"))
-    np.testing.assert_allclose(rotation.matrix(0.0), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(rotation.rotation(0.0, 1.0, 0j), np.eye(4), atol=1e-15)
 
 
 def test_rotation_dense_matches_series():
     theta = 0.37
     p = word("YX").dense()
-    got = ParamSlot(PauliSum.from_letters(2, "YX")).matrix(theta)
+    got = ParamSlot(PauliSum.from_letters(2, "YX")).rotation(theta, np.cos(theta), 1j * np.sin(theta))
     want = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * p
     np.testing.assert_allclose(got, want, atol=1e-15)
 

@@ -397,7 +397,7 @@ def test_tiny_sweep_bytes_match_bench_reference(workers):
 
 
 def test_json_payload_contents(tmp_path):
-    cfg = small_config()
+    cfg = small_config(opt_steps=3)
     cfg.out_dir = str(tmp_path)
     run_sweep(cfg)
     payload = json.loads((tmp_path / "records.json").read_text())
@@ -406,6 +406,13 @@ def test_json_payload_contents(tmp_path):
     rec = payload["records"][0]
     assert "wall_time" in rec and "loss_trajectory" in rec
     assert rec["product_var_deff"] == rec["var_grad_mean"] * rec["d_eff"]
+    # one frame per draw (10) and per descent step (3); the stages tile the
+    # cell's time
+    assert rec["frames"] == 10 + 3 and len(rec["loss_trajectory"]) == 3 + 1
+    assert set(rec["stage_s"]) == {"truncate", "variance", "descent"}
+    assert rec["stage_s"]["truncate"] >= 0.0
+    assert rec["stage_s"]["variance"] > 0.0 and rec["stage_s"]["descent"] > 0.0
+    assert sum(rec["stage_s"].values()) == pytest.approx(rec["wall_time"], rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
