@@ -23,28 +23,50 @@ input properties let it skip most of those products:
 
 * A slot whose generator is one Pauli string applies it to a state as a
   gather: an index permutation times a phase vector.  It keeps no dense
-  matrix.  Its backward rotation ``cos * I - 1j * sin * P``, with that
-  expression's per-entry arithmetic, is a vector for a Z-only string and
-  otherwise is written on its O(d) support, the diagonal plus (r, cols[r]),
-  with every other entry +0.
+  matrix.  Its backward rotation ``cos * I - 1j * sin * P`` is ``cos`` on
+  the diagonal and ``1j * sin * -P``'s entries at (r, cols[r]): a vector
+  for a Z-only string, and otherwise written on that O(d) support with
+  every other entry +0.  Its generator column is one gather times
+  ``-1j * coeff * P``'s entries, taken when the slot is built.
 * A fixed gate that is diagonal with +-1 entries (the CZ ring) multiplies
   states by its sign vector.
-* A product in which one factor is diagonal has one nonzero term per entry.
-  The backward pass computes it entrywise with :func:`_one_term_product`,
-  which rounds such an entry as OpenBLAS does.  This covers a diagonal
-  ``acc``, carried as a vector from the last op while the CZ rings and
-  Z-string rotations at the end of the circuit keep it diagonal, and a
-  dense ``acc`` times a sign gate or a Z-string rotation, which scales its
-  columns in O(d^2).  The first other op turns the vector into a dense
-  ``acc`` by scaling that op's rows.  A product with two nonzero terms per
-  entry, a dense ``acc`` times an X/Y-string rotation, a dense fixed gate
-  or a multi-string slot, stays a BLAS product: its bits depend on how BLAS
-  fuses the terms, which numpy cannot express.
+* A product in which one factor is diagonal has one nonzero term per entry,
+  which the backward pass computes entrywise with OpenBLAS's rounding (see
+  :func:`_one_term_product`).  This covers a diagonal ``acc``, carried as a
+  vector from the last op while the CZ rings and Z-string rotations at the
+  end of the circuit keep it diagonal, and a dense ``acc`` times a sign
+  gate or a Z-string rotation, which scales its columns in O(d^2).  Each
+  takes the cheapest form with those bits:
+
+  - times a sign vector, a purely real factor, numpy's ``*`` rounds each
+    product once as BLAS does, and a final +0 gives BLAS's zeros;
+  - times a Z-string rotation, whose real part is exactly ``cos`` and whose
+    imaginary part is ``-sin`` times P's real phases, it is ``acc * cos +
+    acc * (1j * sin * -P)`` and +0, with no rotation vector built;
+  - a diagonal ``acc`` meeting an X/Y-string rotation, whose entries are
+    each purely real or purely imaginary as well, becomes dense on that
+    rotation's support: ``acc * cos`` on the diagonal, ``acc`` times the
+    off-diagonal entries at (r, cols[r]), each with +0;
+  - a diagonal ``acc`` times a general complex factor (a generator column,
+    a dense gate's or a multi-string slot's rows) splits that factor into
+    its real and imaginary parts (:func:`_one_term_product`).
+
+  A product with two nonzero terms per entry, a dense ``acc`` times an
+  X/Y-string rotation, a dense fixed gate or a multi-string slot, stays a
+  BLAS product: its bits depend on how BLAS fuses the terms, which numpy
+  cannot express.
 
 Each of these differs from the dense product at most in the sign of a zero,
-and BLAS sums start from +0 (see :func:`_as_blas_sum`).  At dim 2 OpenBLAS
-rounds one-term products another way, so a one-qubit circuit keeps every
-backward product dense.
+and BLAS sums start from +0 (see :func:`_as_blas_sum`); ``acc`` itself may
+hold zeros of either sign, since every product that reads it sums from +0
+or ends with +0.  At dim 2 OpenBLAS rounds one-term products another way,
+so a one-qubit circuit keeps every backward product dense.
+
+Per op the passes keep numpy calls few, since at n <= 6 their overhead, not
+their arithmetic, is most of a frame: each op writes its state in place,
+slot k's cos and 1j * sin are complex 0-d arrays (:meth:`CircuitSpec._trig`),
+and +0 is a complex 0-d array too, which numpy applies as fast as an array
+operand where a Python scalar costs a conversion per call.
 
 ``tangent_frame`` also takes an (S, L) stack of parameter points and runs
 both passes on all S at once: the states become (S, dim) and ``acc`` an
@@ -55,8 +77,7 @@ sine of a row of angles among them, compute each entry as they compute it
 for one point; numpy's stacked matmul calls the single product's BLAS
 routine once per slice, gemm for matrix products and gemv for
 matrix-vector products (see :func:`~liepqc.linalg.matvec`).  The
-stacked-frame tests check this byte for byte.  One point keeps its scalar
-angles, which is the faster path for the descent's one point per step.
+stacked-frame tests check this byte for byte.
 """
 
 from __future__ import annotations
@@ -72,18 +93,27 @@ from .linalg import hermitian_eig, matvec
 NORM_TOL = 1e-10
 
 
-def _as_blas_sum(x: np.ndarray) -> np.ndarray:
-    """x with each -0 turned into +0; every other bit is kept.
+# +0 and 1j as complex 0-d arrays: numpy adds or multiplies them with the
+# speed of an array operand, where a Python scalar costs a conversion per call
+_ZERO = np.zeros((), dtype=complex)
+_I = np.array(1j)
+_ZERO.flags.writeable = _I.flags.writeable = False
+
+
+def _as_blas_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x with each -0 turned into +0; every other bit is kept.  Written into
+    ``out`` when given.
 
     A BLAS product sums from +0, so an entry whose terms are all zero comes
     out as +0, where the single product that replaces the sum can give -0.
     """
-    return x + 0.0
+    return np.add(x, _ZERO, out=out)
 
 
-def _one_term_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _one_term_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a * b entrywise (broadcast), with the bits of a BLAS product whose
-    entries each have one nonzero term, such as diag(a) @ B or A @ diag(b).
+    entries each have one nonzero term, such as diag(a) @ B or A @ diag(b);
+    written into ``out`` when given.
 
     OpenBLAS keeps the real products of a complex term in accumulators that
     start from +0 and joins them at the end: re = (ar*br + 0) - (ai*bi + 0)
@@ -92,15 +122,48 @@ def _one_term_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     purely real or purely imaginary factor, though, one of the two products
     is an exact zero, so fused or not it gives each product rounded once:
     ``a * b.real`` and ``(a * b.imag) * 1j`` are the two halves, and the sum
-    and the final +0 give the accumulators' bits.  At dim 2 OpenBLAS takes
-    another path, which this does not reproduce.
+    and the final +0 give the accumulators' bits.  The same holds for any
+    split of ``b`` into a purely real and a purely imaginary part, which is
+    how the backward pass scales by a sign vector or a Z-string rotation
+    (:func:`_pure_product`).  At dim 2 OpenBLAS takes another path, which
+    this does not reproduce.
     """
-    out = a * b.real
+    out = np.multiply(a, b.real, out=out)
     half = a * b.imag
-    half *= 1j
+    half *= _I
     out += half
-    out += 0.0
+    out += _ZERO
     return out
+
+
+def _pure_product(a: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """:func:`_one_term_product` of ``a`` and the sum of ``parts``: complex
+    factors each purely real or purely imaginary, at most one of each kind.
+    numpy's ``*`` against such a factor rounds each product once, so this
+    is the plain products, their sum and +0."""
+    out = a * parts[0]
+    for part in parts[1:]:
+        out += a * part
+    out += _ZERO
+    return out
+
+
+def _into(value: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """value, copied into ``out`` when that is given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _times_dense(acc, acc_diagonal: bool, m: np.ndarray) -> np.ndarray:
+    """acc @ m for a dense m: m itself while acc is the identity (None),
+    m's rows scaled by a diagonal acc, else a BLAS product."""
+    if acc is None:
+        return m
+    if acc_diagonal:
+        return _one_term_product(acc[..., :, None], m)
+    return acc @ m
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +178,9 @@ class ParamSlot:
     ``coeff * theta`` at once (:meth:`CircuitSpec._trig`); a single-string
     slot reads those, and a multi-string slot reads ``theta`` through its
     eigendecomposition.  ``coeff`` is a single-string generator's real
-    coefficient, 1.0 for any other.  ``diagonal`` marks a Z-only string on
-    two or more qubits, whose backward rotation is a vector.
+    coefficient, 1.0 for any other.  ``moves`` marks a string with an X or
+    Y, which moves every index; ``diagonal`` a Z-only string on two or more
+    qubits, whose backward rotation is a vector.
     """
 
     def __init__(self, generator: PauliSum, label: str | None = None):
@@ -128,6 +192,7 @@ class ParamSlot:
         self.n_qubits = generator.n_qubits
         self.label = label
         self.coeff = 1.0
+        self.moves = False
         self.diagonal = False
         self._eig_cache = None
         terms = list(generator.terms.items())
@@ -135,22 +200,19 @@ class ParamSlot:
             key, coeff = terms[0]
             cols, phases = string_action(key, self.n_qubits)
             self.coeff = float(coeff.real)
-            self._gather = (cols, phases)
             dim = len(cols)
             rows = np.arange(dim)
-            # a Z-only string fixes every index, a string with an X or Y none;
-            # at dim 2 the rotation stays dense (see _one_term_product)
-            self.diagonal = dim > 2 and not (cols != rows).any()
-            if not self.diagonal:
-                # P[r, cols[r]] = phases[r]: the rotation's support is the
-                # diagonal plus, when cols moves r, (r, cols[r]); kept as flat
-                # indices with the identity's and P's entries there
-                moved = rows[cols != rows]
-                self._support = (
-                    np.concatenate([rows * (dim + 1), moved * dim + cols[moved]]),
-                    np.concatenate([np.ones(dim), np.zeros(len(moved))]),
-                    np.concatenate([np.where(cols == rows, phases, 0), phases[moved]]),
-                )
+            # a Z-only string fixes every index and needs no gather; at dim 2
+            # its rotation stays dense (see _one_term_product)
+            self.moves = bool((cols != rows).any())
+            self.diagonal = not self.moves and dim > 2
+            self._gather = (cols if self.moves else None, phases)
+            # the entries of -P, which times i_sin are the rotation's off its
+            # diagonal, and of -i * coeff * P, the generator column's
+            self._neg_phases = -phases
+            self._gen_phases = phases * (-1j * self.coeff)
+            # flat indices of (r, r) and (r, cols[r]) in a dense matrix
+            self._support = (rows * (dim + 1), rows * dim + cols)
         else:
             self._dense_h = generator.dense()
             self._eig_cache = hermitian_eig(self._dense_h)
@@ -161,34 +223,70 @@ class ParamSlot:
         columns for S angles.
 
         A :attr:`diagonal` slot gives the diagonal, (*S, dim); any other slot
-        the dense (*S, dim, dim) matrix.
+        the dense (*S, dim, dim) matrix.  A string's rotation cos * I -
+        i_sin * P is written as ``cos`` on the diagonal and ``i_sin * -P``
+        at (r, cols[r]), summed where those meet (a Z-only string); its
+        entries differ from that expression's at most in the sign of a zero,
+        which every product that reads them sums away.
         """
         if self._eig_cache is not None:
             vals, vecs = self._eig_cache
             return (vecs * np.exp(-1j * theta * vals)[..., None, :]) @ vecs.conj().T
-        if self.diagonal:           # P is its phase vector
-            return cos - i_sin * self._gather[1]
-        support, eye_nz, p_nz = self._support
-        # cos * I - 1j * sin * P on its support; its other entries are zeros,
-        # some -0, where +0 gives the same bits in every product that reads
-        # them, since those sum from +0
-        values = cos * eye_nz - i_sin * p_nz
-        batch = values.shape[:-1]
-        dim = len(self._gather[0])
+        off = i_sin * self._neg_phases
+        if self.moves:
+            return self._on_support(cos, off)
+        diag = cos + off            # P is diagonal
+        return diag if self.diagonal else self._on_support(diag)
+
+    def _on_support(self, diag, off=None) -> np.ndarray:
+        """The dense (*S, dim, dim) matrix with ``diag`` at (r, r), ``off``
+        at (r, cols[r]) and +0 elsewhere; the last of them given is
+        (*S, dim), and the other broadcasts to it."""
+        at_diag, at_off = self._support
+        values = diag if off is None else off
+        batch, dim = values.shape[:-1], values.shape[-1]
         out = np.zeros((*batch, dim * dim), dtype=complex)
         if batch:
-            out[:, support] = values
+            out[:, at_diag] = diag
+            if off is not None:
+                out[:, at_off] = off
         else:
-            out[support] = values
+            out[at_diag] = diag
+            if off is not None:
+                out[at_off] = off
         return out.reshape(*batch, dim, dim)
 
-    def apply(self, state: np.ndarray, theta, cos, i_sin) -> np.ndarray:
+    def _absorb(self, acc, acc_diagonal: bool, batched: bool, theta, cos, i_sin):
+        """acc @ exp(-i theta H) for the backward pass (acc None is the
+        identity), and whether it is a diagonal; see :meth:`CircuitSpec.tangent_frame`."""
+        if acc is None:
+            return self.rotation(theta, cos, i_sin), self.diagonal
+        if self.diagonal:
+            # cos + off is a purely real plus a purely imaginary factor; a
+            # stack of dense accs takes them as (S, 1, 1) and (S, 1, dim)
+            off = i_sin * self._neg_phases
+            if batched and not acc_diagonal:
+                cos, off = cos[..., None, :], off[..., None, :]
+            return _pure_product(acc, cos, off), acc_diagonal
+        if acc_diagonal and self.moves:
+            # diag(acc) @ rotation has the rotation's support: acc * cos on
+            # the diagonal, acc * off at (r, cols[r])
+            off = i_sin * self._neg_phases
+            return self._on_support(_pure_product(acc, cos), _pure_product(acc, off)), False
+        return _times_dense(acc, acc_diagonal, self.rotation(theta, cos, i_sin)), False
+
+    def apply(self, state: np.ndarray, theta, cos, i_sin, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-i theta H) |state>, with ``cos`` and ``i_sin`` as in :meth:`rotation`;
-        (S, 1) columns act on an (S, dim) stack of states."""
+        (S, 1) columns act on an (S, dim) stack of states.  Written into
+        ``out`` when given."""
         if self._eig_cache is None:
-            return cos * state - i_sin * self._string_apply(state)
+            term = self._string_apply(state)
+            term *= i_sin
+            out = np.multiply(state, cos, out=out)
+            out -= term
+            return out
         vals, vecs = self._eig_cache
-        return matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state))
+        return _into(matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state)), out)
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """-i H |state>, for one state or an (S, dim) stack."""
@@ -196,10 +294,26 @@ class ParamSlot:
             return -1j * self.coeff * self._string_apply(state)
         return -1j * matvec(self._dense_h, state)
 
+    def _column(self, state: np.ndarray) -> np.ndarray:
+        """-i H |state> as the backward pass takes it: a string slot's gather
+        times -i * coeff * P's entries.  That differs from
+        :meth:`apply_generator` at most in the sign of a zero, which every
+        product the column enters sums away."""
+        if self._eig_cache is not None:
+            return self.apply_generator(state)
+        cols = self._gather[0]
+        return (state if cols is None else state.take(cols, axis=-1)) * self._gen_phases
+
     def _string_apply(self, state: np.ndarray) -> np.ndarray:
-        """P |state> for the slot's unit Pauli string P, as a gather."""
+        """P |state> for the slot's unit Pauli string P, as a gather; a new array."""
         cols, phases = self._gather
-        return _as_blas_sum(phases * state.take(cols, axis=-1))
+        if cols is None:
+            out = state * phases
+        else:
+            out = state.take(cols, axis=-1)
+            out *= phases
+        out += _ZERO
+        return out
 
     def generator_text(self) -> str:
         single = self.generator.single_string()
@@ -235,10 +349,23 @@ class FixedGate:
         # way except at dim 2 (see _one_term_product)
         self.signs: np.ndarray | None = diag.copy() if is_sign and dim > 2 else None
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        if self.signs is not None:
-            return _as_blas_sum(self.signs * state)
-        return matvec(self.matrix_value, state)
+    def apply(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """U |state>, for one state or an (S, dim) stack; written into ``out``
+        when given."""
+        if self.signs is None:
+            return _into(matvec(self.matrix_value, state), out)
+        out = np.multiply(self.signs, state, out=out)
+        out += _ZERO
+        return out
+
+    def _absorb(self, acc, acc_diagonal: bool):
+        """acc @ U for the backward pass (acc None is the identity), and
+        whether it is a diagonal; a sign vector scales acc's columns."""
+        if self.signs is None:
+            return _times_dense(acc, acc_diagonal, self.matrix_value), False
+        if acc is None:
+            return self.signs, True
+        return _pure_product(acc, self.signs), acc_diagonal
 
 
 @dataclass
@@ -321,25 +448,32 @@ class CircuitSpec:
         return theta
 
     def _trig(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slot k's angle and cos and 1j * sin of its ``coeff * theta``, each
-        computed in one call for all slots: indexed by k, scalars for one point
-        and (S, 1) columns for an (S, L) stack."""
+        """Slot k's angle, and cos and 1j * sin of its ``coeff * theta`` as
+        complex numbers, each computed in one call for all slots.
+
+        Index them as ``[k, ...]``: for one point that gives 0-d arrays,
+        which numpy multiplies into a state at the cost of an array operand
+        (a Python or numpy scalar costs a conversion per call); for an (S, L)
+        stack it gives (S, 1) columns.  A real cos as a complex number with
+        imaginary part +0 scales a complex entry as the real one does.
+        """
         scaled = self._coeffs * theta
-        trig = theta, np.cos(scaled), 1j * np.sin(scaled)
+        trig = theta, np.cos(scaled).astype(complex), 1j * np.sin(scaled)
         return trig if theta.ndim == 1 else tuple(a.T[..., None] for a in trig)
 
     def _forward(self, trig, batch: tuple[int, ...]) -> np.ndarray:
-        """The initial state and the state after each op, (n_ops + 1, *batch, dim)."""
+        """The initial state and the state after each op, (n_ops + 1, *batch, dim);
+        each op writes its output in place."""
         theta, cos, i_sin = trig
         states = np.empty((len(self.ops) + 1, *batch, self.dim), dtype=complex)
         states[0] = self.initial_state
         k = 0
         for i, op in enumerate(self.ops):
             if isinstance(op, ParamSlot):
-                states[i + 1] = op.apply(states[i], theta[k], cos[k], i_sin[k])
+                op.apply(states[i], theta[k], cos[k, ...], i_sin[k, ...], out=states[i + 1])
                 k += 1
             else:
-                states[i + 1] = op.apply(states[i])
+                op.apply(states[i], out=states[i + 1])
         return states
 
     def evolve(self, theta: np.ndarray) -> np.ndarray:
@@ -360,36 +494,31 @@ class CircuitSpec:
 
         # backward pass: acc is the product of the ops after op i, None while
         # that is the identity, a (*batch, dim) diagonal while it is one, then
-        # dense; a slot's column is taken before acc absorbs it
+        # dense; a slot's column is taken before acc absorbs it.  Every
+        # product that reads acc sums from +0 or ends with +0, so acc's zeros
+        # may carry either sign; acc is never written in place
         partials = np.empty((*batch, self.dim, self.num_params), dtype=complex)
-        acc, acc_diagonal = None, False
+        columns = partials.transpose(-1, *range(len(batch) + 1))   # [k] is partials[..., k]
+        acc, acc_diagonal, batched = None, False, bool(batch)
         k = self.num_params
         for i in range(n_ops - 1, -1, -1):
             op = self.ops[i]
             if isinstance(op, ParamSlot):
                 k -= 1
-                col = op.apply_generator(states[i + 1])
+                col = op._column(states[i + 1])
                 if acc is None:
-                    partials[..., k] = _as_blas_sum(col)
+                    _as_blas_sum(col, out=columns[k])
                 elif acc_diagonal:
-                    partials[..., k] = _one_term_product(acc, col)
+                    _one_term_product(acc, col, out=columns[k])
                 else:
-                    partials[..., k] = matvec(acc, col)
+                    columns[k] = matvec(acc, col)
                 if k == 0:
                     break           # the ops before the first slot enter no column
-                m, diagonal = op.rotation(angle[k], cos[k], i_sin[k]), op.diagonal
-            elif op.signs is not None:
-                m, diagonal = op.signs, True
+                acc, acc_diagonal = op._absorb(
+                    acc, acc_diagonal, batched, angle[k], cos[k, ...], i_sin[k, ...]
+                )
             else:
-                m, diagonal = op.matrix_value, False
-            if acc is None:
-                acc, acc_diagonal = _as_blas_sum(m), diagonal
-            elif diagonal:          # scale acc's columns; a diagonal acc stays one
-                acc = _one_term_product(acc, m if acc_diagonal else m[..., None, :])
-            elif acc_diagonal:      # scale m's rows; acc is dense from here
-                acc, acc_diagonal = _one_term_product(acc[..., :, None], m), False
-            else:
-                acc = acc @ m
+                acc, acc_diagonal = op._absorb(acc, acc_diagonal)
         return TangentFrame(states[n_ops], partials)
 
 

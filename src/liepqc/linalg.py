@@ -1,4 +1,5 @@
-"""Dense complex linear algebra on small (<= 64x64) operators.
+"""Dense complex linear algebra on 2^n x 2^n operators, n <= 10 (the
+sweep's qubit limit, so dim <= 1024).
 
 Matrix exponentials go through the Hermitian eigendecomposition; at these
 dimensions that is both exact enough and simpler than scaling-and-squaring.
@@ -50,13 +51,14 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m @ v for one vector, or draw by draw for an (S, dim) stack of them.
 
-    ``m`` is one matrix or an (S, dim, dim) stack.  For a stack, the trailing
-    unit axis makes numpy's stacked matmul call, slice by slice, the
-    matrix-vector BLAS routine of the single product, so every slice keeps
-    that product's bits.
+    ``m`` is one matrix or an (S, dim, dim) stack.  One vector goes through
+    ``np.dot``, which calls the same matrix-vector BLAS routine (gemv) as
+    ``@`` with less call overhead.  For a stack, the trailing unit axis
+    makes numpy's stacked matmul call that routine slice by slice, so every
+    slice keeps the single product's bits.
     """
     if v.ndim == 1:
-        return m @ v
+        return np.dot(m, v)
     return (m @ v[..., None])[..., 0]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import multiprocessing
 import numbers
@@ -45,6 +46,8 @@ CSV_HEADER = (
 )
 
 KNOWN_METHODS = ("full", "random_trunc", "lie_trunc")
+
+log = logging.getLogger(__name__)
 
 # Master seed shipped with the default config.  Chosen once so the seeded
 # keep-2 random truncation at n=6 lands on two single-qubit directions on
@@ -214,6 +217,7 @@ class SweepRecord:
     wall_time: float = 0.0
     frames: int = 0
     stage_s: dict[str, float] = field(default_factory=dict)
+    closure_s: float = 0.0
     eigenvalues: list[float] = field(default_factory=list, repr=False)
     loss_trajectory: list[float] = field(default_factory=list, repr=False)
 
@@ -341,19 +345,35 @@ def _cells_task(
 ) -> list[tuple[int, str, SweepRecord | None, dict | None]]:
     """The given method cells of one qubit count, sharing one base and one closure."""
     config, n, methods = args
+    start = time.perf_counter()
     try:
         base = build_ansatz("full_hea", n, config.depth)
         closure = lie_closure(base.skew_generators())
     except Exception as exc:  # no cell of this task can run: each records the failure
         failure = _failure(exc)
         return [(n, method, None, failure) for method in methods]
+    closure_s = time.perf_counter() - start
     outcomes = []
     for method in methods:
         try:
-            outcomes.append((n, method, run_cell(config, n, method, base, closure), None))
+            record = run_cell(config, n, method, base, closure)
         except Exception as exc:  # cell isolation: report, do not abort the sweep
             outcomes.append((n, method, None, _failure(exc)))
+            continue
+        record.closure_s = closure_s
+        _log_cell(record)
+        outcomes.append((n, method, record, None))
     return outcomes
+
+
+def _log_cell(record: SweepRecord) -> None:
+    """One ``key=value`` line per finished cell at level INFO, from the
+    process that ran it."""
+    stages = " ".join(f"{name}_s={secs:.6f}" for name, secs in record.stage_s.items())
+    log.info(
+        "cell n=%d method=%s frames=%d closure_s=%.6f %s wall_s=%.6f",
+        record.n, record.method, record.frames, record.closure_s, stages, record.wall_time,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _observable_loss_and_gradient(
     """:func:`loss_and_gradient` for an already resolved dense observable;
     the loss and the gradient share one product O|psi>."""
     frame = circuit.tangent_frame(theta)
-    o_state = obs @ frame.state
+    o_state = matvec(obs, frame.state)
     return float(np.real(frame.state.conj() @ o_state)), _frame_gradient(frame, o_state)
 
 

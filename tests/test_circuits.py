@@ -32,15 +32,18 @@ def slot_trig(op, t):
     return t, np.cos(op.coeff * t), 1j * np.sin(op.coeff * t)
 
 
+def dense_diag(values):
+    """diag(values) as a dense matrix, or a stack of them for (S, dim)."""
+    out = np.zeros((*values.shape, values.shape[-1]), dtype=complex)
+    idx = np.arange(values.shape[-1])
+    out[..., idx, idx] = values
+    return out
+
+
 def dense_rotation(op, t):
     """The slot's backward rotation as a dense matrix, a diagonal one spread out."""
     m = op.rotation(*slot_trig(op, t))
-    if not op.diagonal:
-        return m
-    out = np.zeros((*m.shape, m.shape[-1]), dtype=complex)
-    idx = np.arange(m.shape[-1])
-    out[..., idx, idx] = m
-    return out
+    return dense_diag(m) if op.diagonal else m
 
 
 def random_circuit(rng, n, n_slots):
@@ -342,8 +345,9 @@ def test_stacked_frames_match_single_frames_bytes():
 def _diagonal_circuits(draw):
     """Unit-coefficient string slots (Z-only strings among them) mixed with
     +-1 diagonal gates and CZ rings, and an (S, L) stack of angles that
-    includes 0 and +-pi."""
-    n = draw(st.integers(1, 4))
+    includes 0 and +-pi: up to six qubits and eight rows, the variance
+    stage's stack at n = 6."""
+    n = draw(st.integers(1, 6))
     z_word = st.text(alphabet="IZ", min_size=n, max_size=n)
     xy_word = st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
         lambda w: "X" in w or "Y" in w
@@ -366,7 +370,7 @@ def _diagonal_circuits(draw):
     angle = st.one_of(
         st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.pi / 2]), st.floats(-2 * np.pi, 2 * np.pi)
     )
-    rows = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 8))
     thetas = np.array([[draw(angle) for _ in range(c.num_params)] for _ in range(rows)])
     return c, thetas
 
@@ -438,6 +442,86 @@ def test_one_term_product_bytes_match_blas():
         assert (a[:, None] * full).tobytes() != (np.diag(a) @ full).tobytes(), dim
         assert (a[:, None] * full).tobytes() != _one_term_product(a[:, None], full).tobytes()
         assert (a * b).tobytes() != _one_term_product(a, b).tobytes(), dim
+
+
+def frame_trig(op, t):
+    """A slot's (theta, cos, 1j * sin) as a frame's backward pass takes them:
+    cos complex, 0-d arrays for one angle and (S, 1) columns for a stack."""
+    t = np.asarray(t, dtype=float)
+    return t, np.cos(op.coeff * t).astype(complex), 1j * np.sin(op.coeff * t)
+
+
+def test_backward_product_forms_match_blas_bytes():
+    # each cheaper exact form the backward pass takes against the BLAS
+    # product it stands for, d = 4 ... 256, one point and stacks of 3, with
+    # exact zeros of both signs, +-1 and +-1j entries.  A Z-string rotation's
+    # entries are complex, so numpy's fused * against them fails and the
+    # split into cos and -1j * sin * P's phases is what holds.  A sign
+    # vector's and an X/Y-string rotation's entries are each purely real or
+    # purely imaginary, so * against them rounds each product once as BLAS
+    # does; there the final +0 is what the bare product fails on, and a
+    # diagonal acc times an X/Y rotation is written on the rotation's support
+    rng = np.random.default_rng(44)
+    for n in range(2, 9):
+        dim = 2 ** n
+        gate = FixedGate(np.diag(rng.choice([1.0, -1.0], dim) + 0j), "signs")
+        z_slot, xy_slot = slot(n, "Z" * (n - 1) + "I", -0.5), slot(n, "Y" + "Z" * (n - 1))
+        for batch in ((), (3,)):
+            acc = _one_term_inputs(rng, (*batch, dim, dim))
+            diag = _one_term_inputs(rng, (*batch, dim))
+            angles = rng.uniform(-np.pi, np.pi, (*batch, 1)) if batch else 0.7
+            stacked = bool(batch)
+
+            want = acc @ gate.matrix_value
+            assert gate._absorb(acc, False)[0].tobytes() == want.tobytes(), dim
+            assert (acc * gate.signs).tobytes() != want.tobytes(), dim
+            want = (dense_diag(diag) @ gate.matrix_value).diagonal(axis1=-2, axis2=-1)
+            assert gate._absorb(diag, True)[0].tobytes() == want.tobytes(), dim
+
+            for op in (z_slot, xy_slot):
+                trig = frame_trig(op, angles)
+                rot = dense_rotation(op, angles)
+                vec = rot.diagonal(axis1=-2, axis2=-1)
+                # a diagonal acc keeps one nonzero term per entry against any rotation
+                want = dense_diag(diag) @ rot
+                got, got_diagonal = op._absorb(diag, True, stacked, *trig)
+                if got_diagonal:
+                    want = want.diagonal(axis1=-2, axis2=-1)
+                    assert (diag * vec).tobytes() != want.tobytes(), dim
+                else:
+                    assert (diag[..., :, None] * rot).tobytes() != want.tobytes(), dim
+                assert got.tobytes() == want.tobytes(), (dim, op.diagonal, batch)
+            want = acc @ dense_rotation(z_slot, angles)
+            got, _ = z_slot._absorb(acc, False, stacked, *frame_trig(z_slot, angles))
+            assert got.tobytes() == want.tobytes(), (dim, batch)
+            vec = dense_rotation(z_slot, angles).diagonal(axis1=-2, axis2=-1)
+            assert (acc * vec[..., None, :]).tobytes() != want.tobytes(), dim
+            # an X/Y rotation times a dense acc stays a BLAS product; its
+            # matrix matches the dense expression once zeros are +0
+            got = _as_blas_sum(xy_slot.rotation(*frame_trig(xy_slot, angles)))
+            expr = np.cos(angles)[..., None] * np.eye(dim) - 1j * np.sin(angles)[..., None] * (
+                PauliSum.from_letters(n, "Y" + "Z" * (n - 1)).dense()
+            )
+            assert got.tobytes() == _as_blas_sum(expr).tobytes(), dim
+
+
+def test_matvec_dot_bytes_match_matmul():
+    # one-point matvec goes through np.dot: the gemv of @, with less call
+    # overhead; also for the gradient's conjugate-transposed (L, dim) view
+    rng = np.random.default_rng(45)
+    for n in range(2, 9):
+        dim = 2 ** n
+        for width in (dim, 3 * n):
+            m = _one_term_inputs(rng, (dim, width))
+            u, v = _one_term_inputs(rng, width), _one_term_inputs(rng, dim)
+            assert matvec(m, u).tobytes() == (m @ u).tobytes(), (dim, width)
+            mh = np.swapaxes(m.conj(), -1, -2)
+            assert matvec(mh, v).tobytes() == (mh @ v).tobytes(), (dim, width)
+            # numpy's fused complex * with its pairwise sum rounds otherwise
+            assert (mh * v).sum(axis=-1).tobytes() != matvec(mh, v).tobytes(), (dim, width)
+        ms = _one_term_inputs(rng, (3, dim, dim))
+        vs = _one_term_inputs(rng, (3, dim))
+        assert matvec(ms, vs).tobytes() == np.stack([m @ v for m, v in zip(ms, vs)]).tobytes()
 
 
 def test_one_qubit_frames_keep_blas_products():

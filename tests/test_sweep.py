@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import time
 from pathlib import Path
 
@@ -413,6 +414,36 @@ def test_json_payload_contents(tmp_path):
     assert rec["stage_s"]["truncate"] >= 0.0
     assert rec["stage_s"]["variance"] > 0.0 and rec["stage_s"]["descent"] > 0.0
     assert sum(rec["stage_s"].values()) == pytest.approx(rec["wall_time"], rel=1e-9, abs=1e-12)
+    # building the circuit and its closure is timed apart from the stages
+    assert rec["closure_s"] > 0.0
+
+
+def test_closure_seconds_and_cell_log_lines(caplog):
+    # a serial sweep: one task per qubit count, whose methods share one
+    # closure time; one INFO line per cell from logger liepqc.sweep
+    cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"], opt_steps=2, workers=1)
+    with caplog.at_level(logging.INFO, logger="liepqc.sweep"):
+        records, errors = run_sweep(cfg, write_files=False)
+    assert not errors and len(records) == 4
+    for n in (2, 3):
+        times = {r.closure_s for r in records if r.n == n}
+        assert len(times) == 1 and times.pop() > 0.0
+    lines = [r for r in caplog.records if r.name == "liepqc.sweep"]
+    assert [r.levelno for r in lines] == [logging.INFO] * 4
+    for rec, line in zip(records, lines):
+        fields = dict(item.split("=") for item in line.getMessage().split()[1:])
+        assert line.getMessage().startswith("cell ")
+        assert (int(fields["n"]), fields["method"], int(fields["frames"])) == (
+            rec.n, rec.method, rec.frames
+        )
+        assert set(fields) == {"n", "method", "frames", "closure_s", "truncate_s",
+                               "variance_s", "descent_s", "wall_s"}
+        assert float(fields["closure_s"]) == pytest.approx(rec.closure_s, abs=1e-6)
+        assert float(fields["wall_s"]) == pytest.approx(rec.wall_time, abs=1e-6)
+        for stage, secs in rec.stage_s.items():
+            assert float(fields[f"{stage}_s"]) == pytest.approx(secs, abs=1e-6)
+    # the CSV carries none of it
+    assert records_csv_text(records).splitlines()[0] == CSV_HEADER
 
 
 # ---------------------------------------------------------------------------
