@@ -478,6 +478,55 @@ def test_plot_annotation_contains_ratio(tmp_path):
     assert "max/min = 1.11" in text
 
 
+def _figure_records() -> list[SweepRecord]:
+    """Literal records of three methods at n = 2, 3, 4, computed by nothing."""
+    recs = []
+    for i, method in enumerate(("full", "random_trunc", "lie_trunc")):
+        for n in (2, 3, 4):
+            var, d_eff = 0.5 ** (n + i), 2.0 * n - i + 0.25
+            recs.append(SweepRecord(
+                n=n, method=method, seed=14, d_eff=d_eff, rank=2 * n - i, kappa=1.5 * n,
+                var_grad_mean=var, var_grad_first=var / 3, product_var_deff=var * d_eff,
+                loss_final=-1.0 + 0.1 * n * i, closure_dim=3 * n, truncated_dim=2 * n - i,
+                closure_defect=0.0,
+            ))
+    return recs
+
+
+# sha256 of each figure emit_plots writes for _figure_records, with the spectra
+# below and without them (the "empty" spectrum series)
+FIGURE_SHA256 = {
+    "spectra": {
+        "variance_vs_n.svg": "83a860b491b9606f871a50f993532bbb222bd7950a73c9ea70d35578138b7b0e",
+        "deff_vs_n.svg": "9db640acb4641f231cc08e99635807fc0b4b814d619a8508ab01dfe7662a8cc5",
+        "var_deff_product.svg": "d4e76210275313aca70492a18c3aa18f1bcc0e2da54c669bef79cc4f95ebcb9e",
+        "metric_spectra.svg": "6373bc13c9e6c69840359e938b78052fd1b92648a21bc398cd964debd46122d4",
+        "loss_vs_n.svg": "a37ea014665763a16c3494414e5cbfcde5918864715adc5a2b66999eae5a60e8",
+    },
+    "no_spectra": {
+        "variance_vs_n.svg": "83a860b491b9606f871a50f993532bbb222bd7950a73c9ea70d35578138b7b0e",
+        "deff_vs_n.svg": "9db640acb4641f231cc08e99635807fc0b4b814d619a8508ab01dfe7662a8cc5",
+        "var_deff_product.svg": "d4e76210275313aca70492a18c3aa18f1bcc0e2da54c669bef79cc4f95ebcb9e",
+        "metric_spectra.svg": "077bea5a24633bb76ca9f8ee0204a503ae0b3b7e90f4397390cdd137b77815d6",
+        "loss_vs_n.svg": "a37ea014665763a16c3494414e5cbfcde5918864715adc5a2b66999eae5a60e8",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(FIGURE_SHA256))
+def test_figure_bytes_pinned(tmp_path, case):
+    recs = _figure_records()
+    spectra = None
+    if case == "spectra":
+        spectra = {
+            (r.method, r.n): np.array([0.0, 1e-9 * r.n] + [0.25 * k for k in range(1, r.rank)])
+            for r in recs
+        }
+    created = emit_plots(recs, tmp_path, spectra=spectra)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in created}
+    assert list(got.items()) == list(FIGURE_SHA256[case].items())
+
+
 def test_nice_ticks_sub_ulp_range_terminates():
     # the step (5e-17) is below one ulp of -1.0, so it cannot advance a tick
     assert _nice_ticks(-1.0, -0.9999999999999998) == [-1.0]
