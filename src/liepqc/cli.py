@@ -180,7 +180,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from .geometry import read_spectrum_csv
+    from .geometry import read_spectrum_csv, spectrum_path
     from .plots import emit_plots
     from .sweep import CSV_HEADER, SweepRecord
 
@@ -195,7 +195,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         return 2
     spectra = {}
     for rec in records:
-        spec_path = path.parent / f"spectrum_{rec.method}_{rec.n}.csv"
+        spec_path = spectrum_path(path.parent, rec.method, rec.n)
         if spec_path.exists():
             spectra[(rec.method, rec.n)] = read_spectrum_csv(spec_path)
     out_dir = args.out or path.parent

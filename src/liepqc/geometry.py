@@ -141,9 +141,13 @@ def metric_report(g: np.ndarray, sampling: SamplingSpec) -> MetricReport:
 # ---------------------------------------------------------------------------
 
 
+def _is_zero_metric(eigenvalues: np.ndarray) -> bool:
+    return eigenvalues.size == 0 or eigenvalues[0] <= ZERO_METRIC_FLOOR
+
+
 def effective_dimension(eigenvalues: np.ndarray) -> float:
     """Spectral participation ratio (Tr g)^2 / Tr(g^2); 0 for the zero metric."""
-    if eigenvalues.size == 0 or eigenvalues[0] <= ZERO_METRIC_FLOOR:
+    if _is_zero_metric(eigenvalues):
         return 0.0
     s1 = float(np.sum(eigenvalues))
     s2 = float(np.sum(eigenvalues ** 2))
@@ -154,7 +158,7 @@ def metric_rank(eigenvalues: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Eigenvalues above rel_tol times the largest one (0 for the zero metric)."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must be in (0, 1)")
-    if eigenvalues.size == 0 or eigenvalues[0] <= ZERO_METRIC_FLOOR:
+    if _is_zero_metric(eigenvalues):
         return 0
     return int(np.sum(eigenvalues > rel_tol * eigenvalues[0]))
 
@@ -173,6 +177,11 @@ def condition_number(eigenvalues: np.ndarray, rank: int) -> float:
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+
+def spectrum_path(directory: str | Path, method: str, n: int) -> Path:
+    """The spectrum file of a sweep's (n, method) cell."""
+    return Path(directory) / f"spectrum_{method}_{n}.csv"
 
 
 def write_spectrum_csv(path: str | Path, eigenvalues: np.ndarray) -> None:

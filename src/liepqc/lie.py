@@ -14,6 +14,7 @@ for elements admitted from commutators.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -310,30 +311,40 @@ def lie_trunc(
         selected.append(el)
         sel_depths.append(closure.depth_tags[idx])
 
-    defect_after = _closure_defect(selected)
+    return _truncation(closure.dim_hilbert, selected, sel_depths, tol,
+                       original_dim=closure.dim, defect_before=closure.closure_defect,
+                       span_preserved=True)
+
+
+def _truncation(
+    dim_hilbert: int,
+    elements: list[PauliSum],
+    depths: list[int],
+    tol: float,
+    *,
+    original_dim: int,
+    defect_before: float,
+    span_preserved: bool,
+) -> tuple[LieBasis, TruncationReport]:
+    """The kept elements as a basis, with the report on what was cut from
+    ``original_dim``; both carry the kept set's measured closure defect."""
+    defect = _closure_defect(elements)
     report = TruncationReport(
-        original_dim=closure.dim,
-        truncated_dim=len(selected),
-        kept_depths=_depth_histogram(sel_depths),
-        closure_defect_before=closure.closure_defect,
-        closure_defect_after=defect_after,
-        span_preserved=True,
+        original_dim=original_dim,
+        truncated_dim=len(elements),
+        kept_depths=dict(Counter(depths)),
+        closure_defect_before=defect_before,
+        closure_defect_after=defect,
+        span_preserved=span_preserved,
     )
-    trunc = LieBasis(
-        dim_hilbert=closure.dim_hilbert,
-        elements=selected,
-        depth_tags=sel_depths,
-        closure_defect=defect_after,
-        converged=defect_after <= tol,
+    basis = LieBasis(
+        dim_hilbert=dim_hilbert,
+        elements=elements,
+        depth_tags=depths,
+        closure_defect=defect,
+        converged=defect <= tol,
     )
-    return trunc, report
-
-
-def _depth_histogram(depths: list[int]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for d in depths:
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    return basis, report
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +377,9 @@ def random_trunc(
     kept = [directions[i] for i in chosen]
 
     basis, _ = orthonormalize_sums(kept, tol)
-    defect = _closure_defect(basis)
-    report = TruncationReport(
-        original_dim=len(span),
-        truncated_dim=len(basis),
-        kept_depths={0: len(basis)},
-        closure_defect_before=0.0,
-        closure_defect_after=defect,
-        span_preserved=len(basis) >= len(span),
-    )
-    trunc = LieBasis(
-        dim_hilbert=2 ** generators[0].n_qubits,
-        elements=basis,
-        depth_tags=[0] * len(basis),
-        closure_defect=defect,
-        converged=defect <= tol,
-    )
-    return trunc, report
+    return _truncation(2 ** generators[0].n_qubits, basis, [0] * len(basis), tol,
+                       original_dim=len(span), defect_before=0.0,
+                       span_preserved=len(basis) >= len(span))
 
 
 # ---------------------------------------------------------------------------

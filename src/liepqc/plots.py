@@ -197,62 +197,53 @@ def line_chart(
 # ---------------------------------------------------------------------------
 
 
-def _series_by_method(records, value) -> list[tuple[str, list[float], list[float]]]:
+# one figure per row: file, the record field drawn against n for each method,
+# title, y label, log scale
+METHOD_FIGURES = (
+    ("variance_vs_n.svg", "var_grad_mean", "Gradient variance vs qubit number",
+     "mean component variance", True),
+    ("deff_vs_n.svg", "d_eff", "Effective dimension vs qubit number", "d_eff", False),
+    ("var_deff_product.svg", "product_var_deff", "Variance x effective dimension product",
+     "Var * d_eff", False),
+    ("loss_vs_n.svg", "loss_final", "Final task loss vs qubit number", "loss after descent",
+     False),
+)
+
+
+def _series_by_method(records, field: str) -> list[tuple[str, list[float], list[float]]]:
     methods: dict[str, list] = {}
     for rec in records:
         methods.setdefault(rec.method, []).append(rec)
     series = []
     for method, recs in methods.items():
         recs = sorted(recs, key=lambda r: r.n)
-        series.append((method, [r.n for r in recs], [value(r) for r in recs]))
+        series.append((method, [r.n for r in recs], [getattr(r, field) for r in recs]))
     return series
 
 
 def emit_plots(records, out_dir: str | Path, spectra: dict | None = None) -> list[Path]:
-    """Write the figure set; returns the created paths."""
+    """Write the figure set, :data:`METHOD_FIGURES` then the metric spectra;
+    returns the created paths."""
     if not records:
         raise ValueError("no records to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    prods = [r.product_var_deff for r in records
+             if r.method == "lie_trunc" and r.product_var_deff > 0]
+    notes = [f"lie_trunc max/min = {max(prods) / min(prods):.2f}"] if prods else []
     created = []
+    for name, field, title, ylabel, logy in METHOD_FIGURES:
+        fig = line_chart(
+            _series_by_method(records, field), title, "qubits n", ylabel, logy=logy,
+            annotations=notes if field == "product_var_deff" else None,
+        )
+        created.append(_write(out / name, fig))
 
-    fig = line_chart(
-        _series_by_method(records, lambda r: r.var_grad_mean),
-        "Gradient variance vs qubit number",
-        "qubits n",
-        "mean component variance",
-        logy=True,
-    )
-    created.append(_write(out / "variance_vs_n.svg", fig))
-
-    fig = line_chart(
-        _series_by_method(records, lambda r: r.d_eff),
-        "Effective dimension vs qubit number",
-        "qubits n",
-        "d_eff",
-    )
-    created.append(_write(out / "deff_vs_n.svg", fig))
-
-    lie = [r for r in records if r.method == "lie_trunc" and r.product_var_deff > 0]
-    notes = []
-    if lie:
-        prods = [r.product_var_deff for r in lie]
-        notes.append(f"lie_trunc max/min = {max(prods) / min(prods):.2f}")
-    fig = line_chart(
-        _series_by_method(records, lambda r: r.product_var_deff),
-        "Variance x effective dimension product",
-        "qubits n",
-        "Var * d_eff",
-        annotations=notes,
-    )
-    created.append(_write(out / "var_deff_product.svg", fig))
-
-    spec_series = []
-    if spectra:
-        for (method, n), eigenvalues in sorted(spectra.items()):
-            xs = list(range(len(eigenvalues)))
-            ys = [float(v) for v in eigenvalues]
-            spec_series.append((f"{method} n={n}", xs, ys))
+    spec_series = [
+        (f"{method} n={n}", list(range(len(eigenvalues))), [float(v) for v in eigenvalues])
+        for (method, n), eigenvalues in sorted((spectra or {}).items())
+    ]
     fig = line_chart(
         spec_series or [("empty", [0], [1.0])],
         "Metric eigenvalue spectra",
@@ -261,14 +252,6 @@ def emit_plots(records, out_dir: str | Path, spectra: dict | None = None) -> lis
         logy=True,
     )
     created.append(_write(out / "metric_spectra.svg", fig))
-
-    fig = line_chart(
-        _series_by_method(records, lambda r: r.loss_final),
-        "Final task loss vs qubit number",
-        "qubits n",
-        "loss after descent",
-    )
-    created.append(_write(out / "loss_vs_n.svg", fig))
     return created
 
 

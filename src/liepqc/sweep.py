@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import multiprocessing
 import numbers
 import os
@@ -35,10 +34,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .circuits import CircuitSpec, build_ansatz
-from .geometry import SamplingSpec, write_spectrum_csv
+from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import _one_blas_thread, rng_from
+from .util import _is_number, _one_blas_thread, rng_from
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -57,11 +56,6 @@ DEFAULT_MASTER_SEED = 14
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (unknown key, bad value)."""
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """An instance of ``kind`` that is not a bool (JSON ``true`` must not pass as 1)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -98,6 +92,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         if any(not 1 <= n <= 10 for n in self.qubit_range):
             raise ConfigError("qubit_range entries must lie in [1, 10]")
+        if len(set(self.qubit_range)) < len(self.qubit_range):
+            raise ConfigError(f"qubit_range repeats a qubit count: {self.qubit_range}")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         if self.opt_steps < 0:
@@ -105,6 +101,10 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
+        if not self.methods:
+            raise ConfigError("methods is empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods repeats a method: {self.methods}")
         if self.workers < 0:
             raise ConfigError(
                 "workers must be >= 0 (0 = one per qubit count, up to the usable CPUs)"
@@ -125,13 +125,15 @@ class SweepConfig:
             raise ConfigError(
                 f"lie_dim_budget must be 0 or >= {span_dim} (2 * largest qubit count)"
             )
-        if not (_is_number(self.opt_rate) and math.isfinite(self.opt_rate) and self.opt_rate > 0):
+        if not (_is_number(self.opt_rate) and self.opt_rate > 0):
             raise ConfigError("opt_rate must be a finite number > 0")
         sigma = self.sampling.sigma
-        if not (_is_number(sigma) and math.isfinite(sigma)):
+        if not _is_number(sigma):
             raise ConfigError(f"sampling.sigma must be a finite number, not {sigma!r}")
         if self.sampling.n_samples < 2:
             raise ConfigError("sampling.n_samples must be >= 2 (each cell estimates a variance)")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a path string, not {self.out_dir!r}")
 
     def to_json(self) -> dict:
         return {
@@ -139,11 +141,7 @@ class SweepConfig:
             "depth": self.depth,
             "methods": list(self.methods),
             # each cell seeds its draws from master_seed, so sampling.seed is not a key
-            "sampling": {
-                "distribution": self.sampling.distribution,
-                "n_samples": self.sampling.n_samples,
-                "sigma": self.sampling.sigma,
-            },
+            "sampling": {k: v for k, v in self.sampling.to_json().items() if k != "seed"},
             "loss": self.loss.to_json(),
             "random_keep": self.random_keep,
             "lie_depth_cap": self.lie_depth_cap,
@@ -185,6 +183,8 @@ def config_from_dict(data: dict) -> SweepConfig:
             if bad:
                 raise ConfigError(f"unknown loss keys: {sorted(bad)}")
             if "tfim_params" in loss:
+                if loss.get("kind", LossSpec.kind) != "vqe_tfim":
+                    raise ConfigError("loss.tfim_params is read only by kind 'vqe_tfim'")
                 loss["tfim_params"] = tuple(loss["tfim_params"])
             kwargs["loss"] = LossSpec(**loss)
         return SweepConfig(**kwargs)
@@ -222,35 +222,28 @@ class SweepRecord:
     loss_trajectory: list[float] = field(default_factory=list, repr=False)
 
     def csv_row(self) -> str:
-        cells = [
-            str(self.n),
-            self.method,
-            str(self.seed),
-            repr(self.d_eff),
-            str(self.rank),
-            repr(self.kappa),
-            repr(self.var_grad_mean),
-            repr(self.var_grad_first),
-            repr(self.product_var_deff),
-            repr(self.loss_final),
-            str(self.closure_dim),
-            str(self.truncated_dim),
-            repr(self.closure_defect),
-        ]
-        return ",".join(cells)
+        """The ``CSV_HEADER`` fields in order; floats are written with repr,
+        which reads back to the same bits, the rest with str."""
+        return ",".join(
+            (repr if kind is float else str)(getattr(self, name))
+            for name, kind in _CSV_FIELDS.items()
+        )
 
     @classmethod
     def from_csv_row(cls, line: str) -> "SweepRecord":
         """Inverse of :meth:`csv_row`; fields outside the CSV keep their defaults."""
-        names = CSV_HEADER.split(",")
         cells = line.split(",")
-        if len(cells) != len(names):
-            raise ValueError(f"expected {len(names)} CSV cells, got {len(cells)}: {line!r}")
-        types = get_type_hints(cls)
-        return cls(**{name: types[name](cell) for name, cell in zip(names, cells)})
+        if len(cells) != len(_CSV_FIELDS):
+            raise ValueError(f"expected {len(_CSV_FIELDS)} CSV cells, got {len(cells)}: {line!r}")
+        return cls(**{name: kind(cell) for (name, kind), cell in zip(_CSV_FIELDS.items(), cells)})
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+# the CSV's fields in order, each with its type
+_RECORD_TYPES = get_type_hints(SweepRecord)
+_CSV_FIELDS = {name: _RECORD_TYPES[name] for name in CSV_HEADER.split(",")}
 
 
 def cell_seed(master_seed: int, n: int, method: str) -> int:
@@ -463,12 +456,10 @@ def write_outputs(
         "errors": errors,
     }
     (out / "records.json").write_text(json.dumps(payload, indent=2) + "\n")
-    for rec in records:
-        write_spectrum_csv(
-            out / f"spectrum_{rec.method}_{rec.n}.csv", np.array(rec.eigenvalues)
-        )
+    spectra = {(r.method, r.n): np.array(r.eigenvalues) for r in records}
+    for (method, n), eigenvalues in spectra.items():
+        write_spectrum_csv(spectrum_path(out, method, n), eigenvalues)
     from .plots import emit_plots
 
-    spectra = {(r.method, r.n): np.array(r.eigenvalues) for r in records}
     if records:
         emit_plots(records, out, spectra=spectra)

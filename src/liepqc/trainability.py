@@ -22,7 +22,7 @@ import numpy as np
 from .pauli import PauliSum
 from .geometry import SamplingSpec, MetricReport, draw_frames, frame_metric, metric_report
 from .linalg import matvec
-from .util import pairwise_mean
+from .util import _is_number, pairwise_mean
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,10 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("observable_expectation", "vqe_tfim"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        if len(self.tfim_params) != 2 or not all(map(_is_number, self.tfim_params)):
+            raise ValueError(
+                f"tfim_params must be two finite numbers (J, h), not {self.tfim_params!r}"
+            )
 
     def observable_dense(self, n_qubits: int) -> np.ndarray:
         if self.kind == "vqe_tfim":

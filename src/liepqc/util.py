@@ -1,5 +1,5 @@
 """Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
-and the set-up of process-pool workers.
+the number check of config values, and the set-up of process-pool workers.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
+import numbers
 
 import numpy as np
 
@@ -91,6 +93,20 @@ def complex_from_json(data: list) -> np.ndarray:
     if arr.ndim == 3 and arr.shape[-1] == 2:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     raise ValueError("expected nested [re, im] pairs")
+
+
+# ---------------------------------------------------------------------------
+# Config values
+# ---------------------------------------------------------------------------
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """An instance of ``kind`` that is not a bool (JSON ``true`` must not pass
+    as 1) and, unless an integer, finite."""
+    return (
+        isinstance(value, kind) and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+    )
 
 
 # ---------------------------------------------------------------------------

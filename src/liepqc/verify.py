@@ -7,6 +7,10 @@ Gram-Schmidt closure engine: it expands brackets exhaustively with dense
 matrix arithmetic and tracks rank in the real Pauli-coefficient space of the
 skew algebra, an entirely separate code path from the production closure.
 
+Seven randomized checks (criteria 5 and 6 and five invariants) are each one
+per-case error function run by ``_worst_case``, which draws case k from its
+own stream, keeps the worst error and compares it with the tolerance.
+
 ``verify_suite`` runs three sweeps of its config, two of them side by side
 with the checks that need no sweep (see its docstring).  Criteria 2, 3 and 4
 read the shared sweep's records and criterion 10 compares the sweeps.
@@ -125,11 +129,15 @@ def brute_force_closure_dim(generators: list[np.ndarray]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_identity_strings(n_qubits: int) -> list[str]:
+    return [w for w in all_strings(n_qubits) if set(w) != {"I"}]
+
+
 def random_string_circuit(
     n_qubits: int, rng: np.random.Generator, min_slots: int = 3, max_slots: int = 8
 ) -> CircuitSpec:
     """Circuit of distinct random Pauli-string rotation slots (no fixed gates)."""
-    pool = [w for w in all_strings(n_qubits) if set(w) != {"I"}]
+    pool = _non_identity_strings(n_qubits)
     n_slots = int(rng.integers(min_slots, min(max_slots, len(pool)) + 1))
     chosen = rng.choice(len(pool), size=n_slots, replace=False)
     slots = [ParamSlot(PauliSum.from_letters(n_qubits, pool[i])) for i in chosen]
@@ -139,13 +147,42 @@ def random_string_circuit(
 def random_skew_sums(
     n_qubits: int, count: int, rng: np.random.Generator
 ) -> list[PauliSum]:
-    pool = [w for w in all_strings(n_qubits) if set(w) != {"I"}]
+    pool = _non_identity_strings(n_qubits)
     chosen = rng.choice(len(pool), size=count, replace=False)
     return [PauliSum.from_letters(n_qubits, pool[i], 1j) for i in chosen]
 
 
+def _random_point(rng: np.random.Generator) -> tuple[CircuitSpec, np.ndarray]:
+    """A circuit of 2 to 6 string slots on 1 to 3 qubits, and a uniform point."""
+    circuit = random_string_circuit(int(rng.integers(1, 4)), rng, min_slots=2, max_slots=6)
+    return circuit, rng.uniform(0, 2 * np.pi, circuit.num_params)
+
+
+def _random_skew(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (g - g.conj().T)
+
+
+# case k of criteria 5 and 6 measures the Z_0 loss at even k, the TFIM energy at odd k
+_LOSSES = (LossSpec(), LossSpec(kind="vqe_tfim"))
+
+
 def _check(name: str, passed: bool, margin: float, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "margin": float(margin), "detail": detail}
+
+
+def _worst_case(
+    name: str, case_error, n_cases: int, seed: int, tag: str, tol: float, detail: str
+) -> dict:
+    """Check that the largest ``case_error(rng, k)`` over cases k < ``n_cases``
+    is at most ``tol``; case k draws from ``rng_from(seed, tag, k)``.
+
+    The margin is ``tol - worst``.  A NaN error makes the worst NaN, which
+    fails.  ``detail`` is formatted with the case count ``n`` and ``worst``.
+    """
+    errors = [case_error(rng_from(seed, tag, k), k) for k in range(n_cases)]
+    worst = float(np.max(errors, initial=0.0))
+    return _check(name, worst <= tol, tol - worst, detail.format(n=n_cases, worst=worst))
 
 
 # ---------------------------------------------------------------------------
@@ -272,71 +309,56 @@ def check_scaling_signature(records=None, config: SweepConfig | None = None) -> 
 
 def check_gradient_exactness(n_cases: int = 50, seed: int = 515) -> dict:
     """Analytic gradients match central finite differences to 1e-6 relative."""
+    return _worst_case("gradient_exactness", _gradient_error, n_cases, seed, "gradexact",
+                       1e-6, "{n} cases, worst relative error {worst:.2e}")
+
+
+def _gradient_error(rng: np.random.Generator, k: int) -> float:
     h = 1e-5
-    worst = 0.0
-    for k in range(n_cases):
-        rng = rng_from(seed, "gradexact", k)
-        n = int(rng.integers(1, 4))
-        circuit = random_string_circuit(n, rng, min_slots=2, max_slots=6)
-        loss = LossSpec() if k % 2 == 0 else LossSpec(kind="vqe_tfim")
-        theta = rng.uniform(0, 2 * np.pi, circuit.num_params)
-        _, grad = loss_and_gradient(circuit, theta, loss)
-        obs = loss.observable_dense(n)
-        fd = np.empty_like(grad)
-        for i in range(theta.size):
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd[i] = (
-                _expectation(circuit.evolve(tp), obs)
-                - _expectation(circuit.evolve(tm), obs)
-            ) / (2 * h)
-        # floor the scale so stationary points compare absolutely, not 0/0
-        scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-2)
-        worst = max(worst, float(np.linalg.norm(grad - fd) / scale))
-    return _check(
-        "gradient_exactness",
-        worst <= 1e-6,
-        1e-6 - worst,
-        f"{n_cases} cases, worst relative error {worst:.2e}",
-    )
+    circuit, theta = _random_point(rng)
+    loss = _LOSSES[k % 2]
+    _, grad = loss_and_gradient(circuit, theta, loss)
+    obs = loss.observable_dense(circuit.n_qubits)
+    fd = np.empty_like(grad)
+    for i in range(theta.size):
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        fd[i] = (
+            _expectation(circuit.evolve(tp), obs)
+            - _expectation(circuit.evolve(tm), obs)
+        ) / (2 * h)
+    # floor the scale so stationary points compare absolutely, not 0/0
+    scale = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-2)
+    return float(np.linalg.norm(grad - fd) / scale)
 
 
 def check_metric_consistency(n_cases: int = 25, seed: int = 626) -> dict:
     """g = J^T J, Parseval identity, PSD spectrum, global-phase invariance."""
-    worst = 0.0
-    for k in range(n_cases):
-        rng = rng_from(seed, "metriccons", k)
-        n = int(rng.integers(1, 4))
-        circuit = random_string_circuit(n, rng, min_slots=2, max_slots=6)
-        theta = rng.uniform(0, 2 * np.pi, circuit.num_params)
-        loss = LossSpec() if k % 2 == 0 else LossSpec(kind="vqe_tfim")
+    return _worst_case("metric_consistency", _metric_deviation, n_cases, seed, "metriccons",
+                       1e-10, "{n} cases, worst deviation {worst:.2e}")
 
-        frame = circuit.tangent_frame(theta)
-        jac = real_jacobian(frame)
-        g = fs_metric_at(circuit, theta)
-        worst = max(worst, float(np.max(np.abs(jac.T @ jac - g))))
 
-        dec = svd_chain_rule(circuit, theta, loss)
-        _, grad = loss_and_gradient(circuit, theta, loss)
-        worst = max(worst, float(np.max(np.abs(dec.reconstruct_gradient() - grad))))
-        worst = max(worst, abs(dec.gradient_norm_sq() - float(grad @ grad)))
-
-        worst = max(worst, max(0.0, -float(np.min(np.linalg.eigvalsh(g)))))
-
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        shifted = CircuitSpec(
-            circuit.n_qubits,
-            circuit.ops,
-            initial_state=phase * circuit.initial_state,
-        )
-        worst = max(worst, float(np.max(np.abs(fs_metric_at(shifted, theta) - g))))
-    return _check(
-        "metric_consistency",
-        worst <= 1e-10,
-        1e-10 - worst,
-        f"{n_cases} cases, worst deviation {worst:.2e}",
+def _metric_deviation(rng: np.random.Generator, k: int) -> float:
+    circuit, theta = _random_point(rng)
+    loss = _LOSSES[k % 2]
+    jac = real_jacobian(circuit.tangent_frame(theta))
+    g = fs_metric_at(circuit, theta)
+    dec = svd_chain_rule(circuit, theta, loss)
+    _, grad = loss_and_gradient(circuit, theta, loss)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    shifted = CircuitSpec(
+        circuit.n_qubits,
+        circuit.ops,
+        initial_state=phase * circuit.initial_state,
     )
+    return np.max([
+        np.max(np.abs(jac.T @ jac - g)),
+        np.max(np.abs(dec.reconstruct_gradient() - grad)),
+        abs(dec.gradient_norm_sq() - float(grad @ grad)),
+        -np.min(np.linalg.eigvalsh(g)),
+        np.max(np.abs(fs_metric_at(shifted, theta) - g)),
+    ])
 
 
 def check_closure_oracle(n_sets: int = 30, seed: int = 737) -> dict:
@@ -451,87 +473,76 @@ def check_determinism_and_budget(
 
 def check_pauli_algebra(seed: int = 11) -> dict:
     """Dense faithfulness of the operator product the closure brackets with."""
-    worst = 0.0
-    for k in range(200):
-        rng = rng_from(seed, "pauli", k)
-        n = int(rng.integers(1, 5))
-        pool = all_strings(n)
-        a = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
-                                  complex(rng.normal(), rng.normal()))
-        b = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
-                                  complex(rng.normal(), rng.normal()))
-        worst = max(worst, float(np.max(np.abs((a * b).dense() - a.dense() @ b.dense()))))
-    return _check("pauli_dense_faithful", worst <= 1e-12, 1e-12 - worst,
-                  f"200 pairs, worst {worst:.2e}")
+    return _worst_case("pauli_dense_faithful", _product_error, 200, seed, "pauli",
+                       1e-12, "{n} pairs, worst {worst:.2e}")
+
+
+def _product_error(rng: np.random.Generator, k: int) -> float:
+    n = int(rng.integers(1, 5))
+    pool = all_strings(n)
+    a = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
+                              complex(rng.normal(), rng.normal()))
+    b = PauliSum.from_letters(n, pool[rng.integers(len(pool))],
+                              complex(rng.normal(), rng.normal()))
+    return float(np.max(np.abs((a * b).dense() - a.dense() @ b.dense())))
 
 
 def check_jacobi_identity(seed: int = 12) -> dict:
-    worst = 0.0
-    for k in range(25):
-        rng = rng_from(seed, "jacobi", k)
-        n = int(rng.integers(1, 3))
-        dim = 2 ** n
-        mats = []
-        for _ in range(3):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            mats.append(0.5 * (g - g.conj().T))
-        a, b, c = mats
-        resid = (
-            linalg.commutator(linalg.commutator(a, b), c)
-            + linalg.commutator(linalg.commutator(b, c), a)
-            + linalg.commutator(linalg.commutator(c, a), b)
-        )
-        worst = max(worst, linalg.max_abs(resid))
-    return _check("jacobi_identity", worst <= 1e-10, 1e-10 - worst,
-                  f"25 random triples, worst {worst:.2e}")
+    return _worst_case("jacobi_identity", _jacobi_residual, 25, seed, "jacobi",
+                       1e-10, "{n} random triples, worst {worst:.2e}")
+
+
+def _jacobi_residual(rng: np.random.Generator, k: int) -> float:
+    dim = 2 ** int(rng.integers(1, 3))
+    a, b, c = (_random_skew(rng, dim) for _ in range(3))
+    resid = (
+        linalg.commutator(linalg.commutator(a, b), c)
+        + linalg.commutator(linalg.commutator(b, c), a)
+        + linalg.commutator(linalg.commutator(c, a), b)
+    )
+    return linalg.max_abs(resid)
 
 
 def check_expm_inverse(seed: int = 13) -> dict:
-    worst = 0.0
-    for k in range(25):
-        rng = rng_from(seed, "expminv", k)
-        n = int(rng.integers(1, 4))
-        dim = 2 ** n
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x = 0.5 * (g - g.conj().T)
-        t = rng.uniform(0.1, 2.0)
-        u = linalg.expm_skew(x, t) @ linalg.expm_skew(x, -t)
-        worst = max(worst, linalg.max_abs(u - np.eye(dim)))
-    return _check("expm_skew_inverse", worst <= 1e-10, 1e-10 - worst,
-                  f"25 random (X, t), worst {worst:.2e}")
+    return _worst_case("expm_skew_inverse", _expm_inverse_error, 25, seed, "expminv",
+                       1e-10, "{n} random (X, t), worst {worst:.2e}")
+
+
+def _expm_inverse_error(rng: np.random.Generator, k: int) -> float:
+    dim = 2 ** int(rng.integers(1, 4))
+    x = _random_skew(rng, dim)
+    t = rng.uniform(0.1, 2.0)
+    return linalg.max_abs(linalg.expm_skew(x, t) @ linalg.expm_skew(x, -t) - np.eye(dim))
 
 
 def check_gram_schmidt(seed: int = 14) -> dict:
     """The closure's Gram-Schmidt returns an HS-orthonormal basis."""
-    worst = 0.0
-    for k in range(20):
-        rng = rng_from(seed, "gs", k)
-        n = int(rng.integers(1, 3))
-        pool = [w for w in all_strings(n) if set(w) != {"I"}]
-        sums = []
-        for _ in range(int(rng.integers(2, 6))):
-            picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False)
-            sums.append(PauliSum(n, {pool[i]: 1j * rng.standard_normal() for i in picks}))
-        tol = 1e-10 * max(v.hs_norm() for v in sums)
-        basis, _ = orthonormalize_sums(sums, tol)
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                val = basis[i].hs_inner(basis[j])
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return _check("gram_schmidt_orthonormal", worst <= 1e-8, 1e-8 - worst,
-                  f"20 random sets, worst deviation {worst:.2e}")
+    return _worst_case("gram_schmidt_orthonormal", _orthonormality_error, 20, seed, "gs",
+                       1e-8, "{n} random sets, worst deviation {worst:.2e}")
+
+
+def _orthonormality_error(rng: np.random.Generator, k: int) -> float:
+    n = int(rng.integers(1, 3))
+    pool = _non_identity_strings(n)
+    sums = []
+    for _ in range(int(rng.integers(2, 6))):
+        picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        sums.append(PauliSum(n, {pool[i]: 1j * rng.standard_normal() for i in picks}))
+    basis, _ = orthonormalize_sums(sums, 1e-10 * max(v.hs_norm() for v in sums))
+    return np.max([
+        abs(basis[i].hs_inner(basis[j]) - (1.0 if i == j else 0.0))
+        for i in range(len(basis)) for j in range(len(basis))
+    ])
 
 
 def check_norm_preservation(seed: int = 15) -> dict:
-    worst = 0.0
-    for k in range(100):
-        rng = rng_from(seed, "norm", k)
-        n = int(rng.integers(1, 4))
-        circuit = random_string_circuit(n, rng, min_slots=2, max_slots=6)
-        theta = rng.uniform(0, 2 * np.pi, circuit.num_params)
-        worst = max(worst, abs(np.linalg.norm(circuit.evolve(theta)) - 1.0))
-    return _check("evolve_norm_preservation", worst <= 1e-10, 1e-10 - worst,
-                  f"100 random (circuit, theta), worst drift {worst:.2e}")
+    return _worst_case("evolve_norm_preservation", _norm_drift, 100, seed, "norm",
+                       1e-10, "{n} random (circuit, theta), worst drift {worst:.2e}")
+
+
+def _norm_drift(rng: np.random.Generator, k: int) -> float:
+    circuit, theta = _random_point(rng)
+    return abs(np.linalg.norm(circuit.evolve(theta)) - 1.0)
 
 
 def check_closure_idempotence(seed: int = 16) -> dict:

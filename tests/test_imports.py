@@ -1,12 +1,15 @@
-"""Import footprint: the package and its entry points load without scipy."""
+"""Import footprint: the package and its entry points load without scipy, and
+the benchmark's layer tracer finds every name it patches."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy():
@@ -21,3 +24,42 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout) == []
+
+
+def _load_layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(layertrace) -> dict:
+    """Every attribute of the package's modules and of the traced classes."""
+    out = {}
+    for layer in layertrace.LAYERS:
+        module = importlib.import_module(f"liepqc.{layer}")
+        out.update({(layer, attr): value for attr, value in vars(module).items()})
+    for layer, attr in layertrace.TRACED:
+        if "." in attr:
+            cls = getattr(importlib.import_module(f"liepqc.{layer}"), attr.split(".")[0])
+            out.update({(layer, cls.__name__, k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_layer_tracer_names_resolve():
+    from liepqc.trainability import LossSpec
+
+    layertrace = _load_layertrace()
+    before = _bindings(layertrace)
+    tracer = layertrace.Tracer()
+    tracer.install()   # raises where a traced name no longer resolves
+    try:
+        patched = _bindings(layertrace)
+        assert patched[("sweep", "run_cell")] is not before[("sweep", "run_cell")]
+    finally:
+        tracer.uninstall()
+    after = _bindings(layertrace)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    loss = LossSpec(kind="vqe_tfim", tfim_params=(1.0, 0.5))
+    assert layertrace._observable_key((loss, 3), {}) == (3, "vqe_tfim", (1.0, 0.5), None)

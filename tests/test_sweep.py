@@ -116,6 +116,12 @@ def test_config_round_trip():
     assert back.to_json() == cfg.to_json()
 
 
+def test_config_tfim_params_round_trip():
+    cfg = config_from_dict({"loss": {"kind": "vqe_tfim", "tfim_params": [2, 0.5]}})
+    assert cfg.loss.tfim_params == (2, 0.5)
+    assert config_from_dict(cfg.to_json()).to_json() == cfg.to_json()
+
+
 # ---------------------------------------------------------------------------
 # cells and records
 # ---------------------------------------------------------------------------
@@ -524,7 +530,7 @@ def test_figure_bytes_pinned(tmp_path, case):
         }
     created = emit_plots(recs, tmp_path, spectra=spectra)
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in created}
-    assert list(got.items()) == list(FIGURE_SHA256[case].items())
+    assert got == FIGURE_SHA256[case]
 
 
 def test_nice_ticks_sub_ulp_range_terminates():
@@ -613,6 +619,20 @@ CONFIG_ERRORS = {
     # cells seed their draws from master_seed; losses measure Z_0 or the TFIM
     "sampling_seed": {"sampling": {"seed": 1}},
     "loss_observable": {"loss": {"observable": "1.0*Z"}},
+    # tfim_params is exactly two finite numbers, read only by the TFIM loss
+    "tfim_params_strings": {"loss": {"kind": "vqe_tfim", "tfim_params": ["a", "b"]}},
+    "tfim_params_three": {"loss": {"kind": "vqe_tfim", "tfim_params": [1.0, 2.0, 3.0]}},
+    "tfim_params_one": {"loss": {"kind": "vqe_tfim", "tfim_params": [1.0]}},
+    "tfim_params_nan": {"loss": {"kind": "vqe_tfim", "tfim_params": [float("nan"), 1.0]}},
+    "tfim_params_bool": {"loss": {"kind": "vqe_tfim", "tfim_params": [True, 1]}},
+    "tfim_params_z0_loss": {"loss": {"kind": "observable_expectation", "tfim_params": [1, 1]}},
+    "tfim_params_default_loss": {"loss": {"tfim_params": [1, 1]}},
+    # each cell would run twice, or none would
+    "repeated_qubit_count": {"qubit_range": [3, 2, 3]},
+    "repeated_method": {"methods": ["full", "full"]},
+    "no_methods": {"methods": []},
+    # the sweep would run every cell, then fail to write its files
+    "integer_out_dir": {"out_dir": 5},
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import liepqc.verify as verify_mod
+from liepqc import lie, linalg, pauli, trainability
 from liepqc.circuits import CircuitSpec, ParamSlot, TangentFrame
 from liepqc.geometry import SamplingSpec, fs_metric_at
 from liepqc.pauli import PauliSum
@@ -18,6 +19,13 @@ from liepqc.verify import (
     INVARIANT_CHECKS,
     brute_force_closure_dim,
     check_determinism_and_budget,
+    check_expm_inverse,
+    check_gradient_exactness,
+    check_gram_schmidt,
+    check_jacobi_identity,
+    check_metric_consistency,
+    check_norm_preservation,
+    check_pauli_algebra,
     check_random_collapse,
     check_scaling_signature,
     check_span_preservation,
@@ -55,6 +63,86 @@ def test_mutation_dropping_phase_projection_is_detected(monkeypatch):
     c = CircuitSpec(1, [ParamSlot(PauliSum.from_letters(1, "Z"))])
     mutated = fs_metric_at(c, np.array([0.7]))
     assert mutated[0, 0] == pytest.approx(1.0, abs=1e-12)   # bug visible
+
+
+def _double_gradient(monkeypatch):
+    original = trainability._frame_gradient
+    monkeypatch.setattr(trainability, "_frame_gradient", lambda *args: 2.0 * original(*args))
+
+
+def _jacobian_without_imaginary_part(monkeypatch):
+    def real_only(frame):
+        return np.vstack([np.real(frame.projected), np.real(frame.projected)])
+
+    monkeypatch.setattr(trainability, "real_jacobian", real_only)
+    monkeypatch.setattr(verify_mod, "real_jacobian", real_only)
+
+
+def _conjugated_string_phase(monkeypatch):
+    original = pauli._product
+
+    def conjugated(ka, kb, n_qubits):
+        k, key = original(ka, kb, n_qubits)
+        return -k % 4, key
+
+    monkeypatch.setattr(pauli, "_product", conjugated)
+
+
+def _anticommutator(monkeypatch):
+    monkeypatch.setattr(linalg, "commutator", lambda a, b: a @ b + b @ a)
+
+
+def _perturbed_expm(monkeypatch):
+    original = linalg.expm_skew
+    monkeypatch.setattr(linalg, "expm_skew", lambda x, t=1.0: original(x, t) + 1e-8)
+
+
+def _unprojected_residual(monkeypatch):
+    monkeypatch.setattr(lie, "_project_residual", lambda x, basis, holders: x.prune())
+
+
+def _sine_without_i(monkeypatch):
+    original = CircuitSpec._trig
+
+    def real_sine(self, theta):
+        theta, cos, i_sin = original(self, theta)
+        return theta, cos, i_sin.imag.astype(complex)
+
+    monkeypatch.setattr(CircuitSpec, "_trig", real_sine)
+
+
+# each check the worst-case runner serves, with a defect planted where it reads
+PLANTED_DEFECTS = {
+    "gradient_exactness": (check_gradient_exactness, _double_gradient),
+    "metric_consistency": (check_metric_consistency, _jacobian_without_imaginary_part),
+    "pauli_dense_faithful": (check_pauli_algebra, _conjugated_string_phase),
+    "jacobi_identity": (check_jacobi_identity, _anticommutator),
+    "expm_skew_inverse": (check_expm_inverse, _perturbed_expm),
+    "gram_schmidt_orthonormal": (check_gram_schmidt, _unprojected_residual),
+    "evolve_norm_preservation": (check_norm_preservation, _sine_without_i),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_DEFECTS))
+def test_worst_case_checks_fail_on_a_planted_defect(monkeypatch, name):
+    check, plant = PLANTED_DEFECTS[name]
+    assert check()["passed"]
+    plant(monkeypatch)
+    result = check()
+    assert result["name"] == name
+    assert not result["passed"]
+    assert result["margin"] < 0
+
+
+def test_worst_case_nan_error_fails(monkeypatch):
+    # a NaN after the first case, which max() would pass over
+    original, calls = linalg.max_abs, iter(range(25))
+    monkeypatch.setattr(
+        linalg, "max_abs", lambda a: float("nan") if next(calls) == 2 else original(a)
+    )
+    result = check_jacobi_identity()
+    assert not result["passed"]
+    assert "worst nan" in result["detail"]
 
 
 def _reduced_config() -> SweepConfig:
