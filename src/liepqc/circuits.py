@@ -183,14 +183,13 @@ class ParamSlot:
     qubits, whose backward rotation is a vector.
     """
 
-    def __init__(self, generator: PauliSum, label: str | None = None):
+    def __init__(self, generator: PauliSum):
         if not isinstance(generator, PauliSum):
             raise TypeError("slot generator must be a PauliSum")
         if not generator.is_hermitian():
             raise ValueError("slot generator must be Hermitian")
         self.generator = generator
         self.n_qubits = generator.n_qubits
-        self.label = label
         self.coeff = 1.0
         self.moves = False
         self.diagonal = False
@@ -560,7 +559,7 @@ def build_ansatz(family: str, n_qubits: int, depth: int) -> CircuitSpec:
         raise ValueError("n_qubits and depth must be >= 1")
     if family == "full_hea":
         layer: list[ParamSlot | FixedGate] = [
-            ParamSlot(_single_letter(n_qubits, q, letter), label=f"R{letter}{q}")
+            ParamSlot(_single_letter(n_qubits, q, letter))
             for letter in "YZ"
             for q in range(n_qubits)
         ]

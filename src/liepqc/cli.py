@@ -40,7 +40,8 @@ def _load_circuit(path: str):
 
 
 def _flag_error(flag: str, value, exc: ValueError) -> int:
-    """Report a flag value the library rejects as an input error (exit 2)."""
+    """Report a flag value the library rejects, or a path that cannot be
+    written, as an input error (exit 2)."""
     print(f"input error: {flag} {value}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
 
@@ -92,9 +93,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    from .sweep import run_sweep
+    from .sweep import ConfigError, run_sweep
 
-    records, errors = run_sweep(config)
+    try:
+        records, errors = run_sweep(config)
+    except ConfigError as exc:  # an out_dir that cannot be a directory, before any cell
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(records)} records to {config.out_dir}")
     for err in errors:
         print(f"cell failure n={err['n']} method={err['method']}: {err['error']}",
@@ -167,6 +172,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
+    if args.out:
+        try:  # an unusable report path fails before any check runs
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _flag_error("--out", args.out, exc)
     report = verify_suite(config, include_invariants=not args.acceptance_only)
     print(f"shared sweep: {report['shared_sweep_s']:.2f}s")
     print(f"verify wall: {report['wall_s']:.2f}s")

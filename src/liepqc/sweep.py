@@ -1,22 +1,22 @@
 """Experiment orchestration: build, truncate, measure, optimize, persist.
 
-One sweep cell is a (qubit count, method) pair.  A task runs some method
-cells of one qubit count: it builds the ``full_hea`` base circuit and the Lie
-closure of its generators once and hands both to each of its cells.  A
-serial sweep runs one task per qubit count, with all of its methods; a pool
-runs one task per cell, so the cells of the largest count spread over the
-workers.  Every cell derives its own RNG stream from (master_seed, n,
-method), so results are independent of execution order and worker count;
-record rows are sorted before writing and floats are serialized with repr,
-which makes the CSV byte-reproducible.
+One sweep cell is a (qubit count, method) pair, and each cell is one task.
+A sweep hands its tasks out largest qubit count first, in method order, on
+one process or on a pool.  Consecutive cells of one qubit count on one
+process share the ``full_hea`` base circuit and the Lie closure of its
+generators (:func:`_base_and_closure`).  Every cell derives its own RNG
+stream from (master_seed, n, method), so results are independent of
+execution order and worker count; record rows are sorted before writing and
+floats are serialized with repr, which makes the CSV byte-reproducible.
 
 Cell failures are caught and recorded with their traceback; the remaining
 cells still run.  A failure while building the base or its closure is
-recorded for every method of that task.
+recorded for every cell of that qubit count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -25,7 +25,6 @@ import numbers
 import os
 import time
 import traceback
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -333,30 +332,34 @@ def _failure(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
-def _cells_task(
-    args: tuple[SweepConfig, int, Sequence[str]]
-) -> list[tuple[int, str, SweepRecord | None, dict | None]]:
-    """The given method cells of one qubit count, sharing one base and one closure."""
-    config, n, methods = args
+@functools.lru_cache(maxsize=1)
+def _base_and_closure(n: int, depth: int) -> tuple[CircuitSpec, LieBasis, float]:
+    """The ``full_hea`` base circuit, the Lie closure of its generators and
+    the seconds both took.
+
+    The one-entry memo lets consecutive cells of one qubit count share them;
+    :func:`run_sweep` clears it when a sweep starts and when it ends.  A
+    failed build is not kept, so each cell of that count records the failure.
+    """
     start = time.perf_counter()
+    base = build_ansatz("full_hea", n, depth)
+    closure = lie_closure(base.skew_generators())
+    return base, closure, time.perf_counter() - start
+
+
+def _cell_task(
+    args: tuple[SweepConfig, int, str]
+) -> tuple[int, str, SweepRecord | None, dict | None]:
+    """One (n, method) cell, as (n, method, record, failure)."""
+    config, n, method = args
     try:
-        base = build_ansatz("full_hea", n, config.depth)
-        closure = lie_closure(base.skew_generators())
-    except Exception as exc:  # no cell of this task can run: each records the failure
-        failure = _failure(exc)
-        return [(n, method, None, failure) for method in methods]
-    closure_s = time.perf_counter() - start
-    outcomes = []
-    for method in methods:
-        try:
-            record = run_cell(config, n, method, base, closure)
-        except Exception as exc:  # cell isolation: report, do not abort the sweep
-            outcomes.append((n, method, None, _failure(exc)))
-            continue
-        record.closure_s = closure_s
-        _log_cell(record)
-        outcomes.append((n, method, record, None))
-    return outcomes
+        base, closure, closure_s = _base_and_closure(n, config.depth)
+        record = run_cell(config, n, method, base, closure)
+    except Exception as exc:  # cell isolation: report, do not abort the sweep
+        return n, method, None, _failure(exc)
+    record.closure_s = closure_s
+    _log_cell(record)
+    return n, method, record, None
 
 
 def _log_cell(record: SweepRecord) -> None:
@@ -398,30 +401,38 @@ def run_sweep(
 ) -> tuple[list[SweepRecord], list[dict]]:
     """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
 
-    With more than one worker (:func:`_resolve_workers`) a process pool maps
-    over the cells, one task each, so workers beyond their number idle.  It
-    takes the largest, slowest count's cells first, in method order, so that
-    count does not start last; each pooled task builds its own base and
-    closure.  Outcomes are sorted afterwards either way.  The pool's workers
-    run BLAS on one thread.  One worker runs one task per qubit count here,
-    with no pool, so each count builds one base and one closure.
+    One task per cell, the largest, slowest qubit count's cells first, in
+    method order, so that count does not start last.  With one worker
+    (:func:`_resolve_workers`) the tasks run here in that order; with more a
+    process pool maps over them, its workers running BLAS on one thread, so
+    workers beyond the number of cells idle.  Outcomes are sorted afterwards.
+    When it writes files, ``out_dir`` is created before the first cell, and
+    a path that cannot be a directory is a :class:`ConfigError`.
     """
+    if write_files:
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out_dir {config.out_dir}: {type(exc).__name__}: {exc}") from exc
     workers = _resolve_workers(config)
-    if workers > 1:
-        tasks = [
-            (config, n, (method,))
-            for n in sorted(config.qubit_range, reverse=True)
-            for method in config.methods
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_one_blas_thread
-        ) as pool:
-            per_task = list(pool.map(_cells_task, tasks))
-    else:
-        per_task = [_cells_task((config, n, config.methods)) for n in config.qubit_range]
+    tasks = [
+        (config, n, method)
+        for n in sorted(config.qubit_range, reverse=True)
+        for method in config.methods
+    ]
+    _base_and_closure.cache_clear()
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_one_blas_thread
+            ) as pool:
+                outcomes = list(pool.map(_cell_task, tasks))
+        else:
+            outcomes = [_cell_task(task) for task in tasks]
+    finally:
+        _base_and_closure.cache_clear()
 
     method_order = {m: i for i, m in enumerate(config.methods)}
-    outcomes = [o for task_outcomes in per_task for o in task_outcomes]
     outcomes.sort(key=lambda o: (o[0], method_order[o[1]]))
     records = [rec for _, _, rec, err in outcomes if rec is not None]
     errors = [
@@ -447,7 +458,6 @@ def write_outputs(
     """The sweep's files; ``records.json`` gives ``workers``, the resolved
     process count, beside the config."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "records.csv").write_text(records_csv_text(records))
     payload = {
         "config": config.to_json(),

@@ -7,15 +7,16 @@ Gram-Schmidt closure engine: it expands brackets exhaustively with dense
 matrix arithmetic and tracks rank in the real Pauli-coefficient space of the
 skew algebra, an entirely separate code path from the production closure.
 
-Seven randomized checks (criteria 5 and 6 and five invariants) are each one
+Ten randomized checks (criteria 1 and 5-7 and six invariants) are each one
 per-case error function run by ``_worst_case``, which draws case k from its
 own stream, keeps the worst error and compares it with the tolerance.
 
 ``verify_suite`` runs three sweeps of its config, two of them side by side
 with the checks that need no sweep (see its docstring).  Criteria 2, 3 and 4
-read the shared sweep's records and criterion 10 compares the sweeps.
-Called on their own without records, criteria 3, 4 and 10 run the sweeps
-themselves and criterion 2 runs its one cell through ``sweep.run_cell``.
+read the shared sweep's records and criterion 10 compares the sweeps; only
+criterion 10's ``workers=2`` run and criterion 2's one-cell sweep, when n = 6
+is not swept, are started by a check.  Every sweep runs through
+``sweep.run_sweep``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
 from .lie import lie_closure, orthonormalize_sums
 from .pauli import PauliSum, all_strings
 from .robustness import trial_batch
-from .sweep import SweepConfig, run_cell, run_sweep, records_csv_text
+from .sweep import SweepConfig, run_sweep, records_csv_text
 from .trainability import (
     LossSpec,
     _expectation,
@@ -178,11 +179,14 @@ def _worst_case(
     is at most ``tol``; case k draws from ``rng_from(seed, tag, k)``.
 
     The margin is ``tol - worst``.  A NaN error makes the worst NaN, which
-    fails.  ``detail`` is formatted with the case count ``n`` and ``worst``.
+    fails.  ``detail`` is formatted with the case count ``n``, ``worst`` and
+    the number of ``failing`` cases.
     """
-    errors = [case_error(rng_from(seed, tag, k), k) for k in range(n_cases)]
-    worst = float(np.max(errors, initial=0.0))
-    return _check(name, worst <= tol, tol - worst, detail.format(n=n_cases, worst=worst))
+    errors = np.array([case_error(rng_from(seed, tag, k), k) for k in range(n_cases)], float)
+    worst = float(np.max(errors))
+    failing = int(np.count_nonzero(~(errors <= tol)))
+    return _check(name, worst <= tol, tol - worst,
+                  detail.format(n=n_cases, worst=worst, failing=failing))
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +202,38 @@ def check_span_rank_bound(n_circuits: int = 100, seed: int = 2024) -> dict:
     can push the averaged rank above the span, so distinctness is part of the
     sampled hypothesis here.
     """
-    violations = 0
-    worst_gap = None
-    for k in range(n_circuits):
-        rng = rng_from(seed, "span_rank", k)
-        n = int(rng.integers(2, 4))
-        circuit = random_string_circuit(n, rng)
-        span_dim = circuit.num_params  # distinct unit strings are orthogonal
-        rep = empirical_metric(circuit, SamplingSpec(n_samples=5, seed=seed + k))
-        gap = span_dim - rep.rank
-        worst_gap = gap if worst_gap is None else min(worst_gap, gap)
-        if rep.rank > span_dim:
-            violations += 1
-    return _check(
-        "span_rank_bound",
-        violations == 0,
-        float(worst_gap),
-        f"{n_circuits} circuits, violations={violations}, min(span-rank)={worst_gap}",
-    )
+    return _worst_case("span_rank_bound", lambda rng, k: _span_excess(rng, seed + k),
+                       n_circuits, seed, "span_rank", 0.0,
+                       "{n} circuits, violations={failing}, max(rank-span)={worst:g}")
+
+
+def _span_excess(rng: np.random.Generator, sampling_seed: int) -> int:
+    circuit = random_string_circuit(int(rng.integers(2, 4)), rng)
+    rep = empirical_metric(circuit, SamplingSpec(n_samples=5, seed=sampling_seed))
+    return rep.rank - circuit.num_params  # distinct unit strings are orthogonal
 
 
 def check_random_collapse(config: SweepConfig | None = None, records=None) -> dict:
     """Keep-2 random truncation at n=6 collapses to rank 2 with d_eff near 2.
 
     Rank and d_eff are read from the ``(6, "random_trunc")`` record of
-    ``config``'s sweep when ``records`` holds one; otherwise ``run_cell``
-    runs that cell of ``config``, so the check reads the same whether or not
-    the sweep covers n = 6.  That run skips the descent (``opt_steps=0``),
-    which the check never reads.
+    ``config``'s sweep when ``records`` holds one; otherwise a sweep of that
+    one cell of ``config`` runs, so the check reads the same whether or not
+    the sweep covers n = 6.  That sweep skips the descent (``opt_steps=0``),
+    which the check never reads; a failed cell fails the check.
     """
     config = config or SweepConfig()
     cell = next(
         (r for r in records or () if (r.n, r.method) == (6, "random_trunc")), None
     )
     if cell is None:
-        base = build_ansatz("full_hea", 6, config.depth)
-        cell = run_cell(
-            dataclasses.replace(config, opt_steps=0), 6, "random_trunc",
-            base, lie_closure(base.skew_generators()),
-        )
+        swept, errors = run_sweep(dataclasses.replace(
+            config, qubit_range=[6], methods=["random_trunc"], opt_steps=0, workers=1,
+        ), write_files=False)
+        if errors:
+            return _check("random_trunc_collapse", False, -1.0,
+                          f"n=6 random_trunc cell failed: {errors[0]['error']}")
+        cell = swept[0]
     rank, d_eff = cell.rank, cell.d_eff
     rank_ok = rank == 2
     deff_ok = 1.5 <= d_eff <= 2.0 + 1e-9
@@ -249,7 +246,7 @@ def check_random_collapse(config: SweepConfig | None = None, records=None) -> di
     )
 
 
-def check_span_preservation(records=None, config: SweepConfig | None = None) -> dict:
+def check_span_preservation(records, config: SweepConfig | None = None) -> dict:
     """rank(lie_trunc) equals rank(full) at every n, stable across thresholds.
 
     Ranks are read from the metric spectra stored in the sweep records of
@@ -257,8 +254,6 @@ def check_span_preservation(records=None, config: SweepConfig | None = None) -> 
     failed ``full`` or ``lie_trunc`` cell fails the check.
     """
     config = config or SweepConfig()
-    if records is None:
-        records, _ = run_sweep(config, write_files=False)
     spectra = {(r.n, r.method): np.array(r.eigenvalues) for r in records}
     missing = [
         (n, method)
@@ -285,11 +280,8 @@ def check_span_preservation(records=None, config: SweepConfig | None = None) -> 
     )
 
 
-def check_scaling_signature(records=None, config: SweepConfig | None = None) -> dict:
+def check_scaling_signature(records) -> dict:
     """Var*d_eff stays flat for lie_trunc while the full variance swings more."""
-    if records is None:
-        config = config or SweepConfig()
-        records, _ = run_sweep(config, write_files=False)
     lie = sorted((r for r in records if r.method == "lie_trunc"), key=lambda r: r.n)
     full = sorted((r for r in records if r.method == "full"), key=lambda r: r.n)
     lie_prods = [r.product_var_deff for r in lie if r.product_var_deff > 0]
@@ -363,22 +355,15 @@ def _metric_deviation(rng: np.random.Generator, k: int) -> float:
 
 def check_closure_oracle(n_sets: int = 30, seed: int = 737) -> dict:
     """Gram-Schmidt closure dimension equals the dense brute-force oracle."""
-    mismatches = 0
-    for k in range(n_sets):
-        rng = rng_from(seed, "closure", k)
-        n = int(rng.integers(1, 4))
-        count = int(rng.integers(2, min(5, 4 ** n)))
-        gens = random_skew_sums(n, count, rng)
-        produced = lie_closure(gens).dim
-        oracle = brute_force_closure_dim([g.dense() for g in gens])
-        if produced != oracle:
-            mismatches += 1
-    return _check(
-        "closure_oracle_equivalence",
-        mismatches == 0,
-        float(-mismatches) if mismatches else 1.0,
-        f"{n_sets} generator sets, mismatches={mismatches}",
-    )
+    return _worst_case("closure_oracle_equivalence", _oracle_mismatch, n_sets, seed, "closure",
+                       0.0, "{n} generator sets, mismatches={failing}")
+
+
+def _oracle_mismatch(rng: np.random.Generator, k: int) -> int:
+    """+1 when the closure's dimension differs from the oracle's, else -1."""
+    n = int(rng.integers(1, 4))
+    gens = random_skew_sums(n, int(rng.integers(2, min(5, 4 ** n))), rng)
+    return 1 if lie_closure(gens).dim != brute_force_closure_dim([g.dense() for g in gens]) else -1
 
 
 def check_perturbation_bound(n_trials: int = 1000, seed: int = 848) -> dict:
@@ -439,20 +424,20 @@ def _timed_sweep(config: SweepConfig) -> tuple[list, list[dict], float]:
 
 def check_determinism_and_budget(
     config: SweepConfig | None = None,
-    first_run: tuple[list, list[dict], float] | None = None,
-    second_run: tuple[list, list[dict], float] | None = None,
+    *,
+    first_run: tuple[list, list[dict], float],
+    second_run: tuple[list, list[dict], float],
 ) -> dict:
     """Identical CSV across repeat runs and worker counts, within time budget.
 
     ``first_run`` and ``second_run`` are sweeps of ``config`` already made,
     as (records, errors, seconds); they count as the first two of the three
-    runs, their errors and their seconds included.  The check runs each one
-    it is not given, on one worker, then a ``workers=2`` sweep.
+    runs, their errors and their seconds included.  The check runs the
+    third, a ``workers=2`` sweep.
     """
     config = config or SweepConfig()
-    serial = dataclasses.replace(config, workers=1)
-    rec1, err1, elapsed = first_run if first_run is not None else _timed_sweep(serial)
-    rec2, err2, seconds2 = second_run if second_run is not None else _timed_sweep(serial)
+    rec1, err1, elapsed = first_run
+    rec2, err2, seconds2 = second_run
     rec3, err3, seconds3 = _timed_sweep(dataclasses.replace(config, workers=2))
     elapsed += seconds2 + seconds3
     identical = records_csv_text(rec1) == records_csv_text(rec2) == records_csv_text(rec3)
@@ -546,17 +531,15 @@ def _norm_drift(rng: np.random.Generator, k: int) -> float:
 
 
 def check_closure_idempotence(seed: int = 16) -> dict:
-    stable = True
-    for k in range(10):
-        rng = rng_from(seed, "idem", k)
-        n = int(rng.integers(1, 4))
-        gens = random_skew_sums(n, int(rng.integers(2, 4)), rng)
-        basis = lie_closure(gens)
-        again = lie_closure(basis.elements)
-        if again.dim != basis.dim:
-            stable = False
-    return _check("closure_idempotence", stable, 1.0 if stable else -1.0,
-                  "closure(closure) adds no elements" if stable else "dimension changed")
+    return _worst_case("closure_idempotence", _closure_change, 10, seed, "idem",
+                       0.0, "{n} closures, {failing} changed dimension when closed again")
+
+
+def _closure_change(rng: np.random.Generator, k: int) -> int:
+    """+1 when closing a closure's elements changes its dimension, else -1."""
+    n = int(rng.integers(1, 4))
+    basis = lie_closure(random_skew_sums(n, int(rng.integers(2, 4)), rng))
+    return 1 if lie_closure(basis.elements).dim != basis.dim else -1
 
 
 ACCEPTANCE_CHECKS = [

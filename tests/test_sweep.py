@@ -254,26 +254,24 @@ def test_workers_resolution(serial_pool, monkeypatch, cpus, qubit_range, workers
 
 
 def test_pool_runs_one_task_per_cell_largest_n_first(serial_pool, monkeypatch):
-    tasks = []       # (n, methods) of each task, in the order it is handed out
-    real_task = sweep_mod._cells_task
+    tasks = []       # (n, method) of each task, in the order it is handed out
+    real_task = sweep_mod._cell_task
 
     def recording(args):
-        tasks.append((args[1], tuple(args[2])))
+        tasks.append(args[1:])
         return real_task(args)
 
-    monkeypatch.setattr(sweep_mod, "_cells_task", recording)
+    monkeypatch.setattr(sweep_mod, "_cell_task", recording)
     methods = list(sweep_mod.KNOWN_METHODS)
-    cfg = small_config(qubit_range=[2, 4, 3], methods=methods, workers=2)
-    pooled, errors = run_sweep(cfg, write_files=False)
-    assert not errors
-    assert tasks == [(n, (m,)) for n in (4, 3, 2) for m in methods]
-
-    # one worker: one task per qubit count, in config order, with every method
-    tasks.clear()
-    serial, _ = run_sweep(small_config(qubit_range=[2, 4, 3], methods=methods, workers=1),
-                          write_files=False)
-    assert tasks == [(n, tuple(methods)) for n in (2, 4, 3)]
-    assert records_csv_text(pooled) == records_csv_text(serial)
+    texts = []
+    for workers in (2, 1):   # the pool, then this process: the same task list
+        tasks.clear()
+        cfg = small_config(qubit_range=[2, 4, 3], methods=methods, workers=workers)
+        records, errors = run_sweep(cfg, write_files=False)
+        assert not errors
+        assert tasks == [(n, m) for n in (4, 3, 2) for m in methods]
+        texts.append(records_csv_text(records))
+    assert serial_pool and texts[0] == texts[1]
 
 
 def test_pooled_base_failure_is_recorded_per_method(serial_pool, monkeypatch):
@@ -383,6 +381,24 @@ def test_cell_failure_before_any_method_is_recorded_per_method(monkeypatch):
         assert "in failing_closure" in err["traceback"]
 
 
+def test_sweep_clears_the_shared_closure_when_it_ends(monkeypatch):
+    # a second sweep of the same qubit count builds its own base and closure
+    cfg = small_config(methods=["full", "lie_trunc"], workers=1)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert len(records) == 2 and not errors
+    assert sweep_mod._base_and_closure.cache_info().currsize == 0
+
+    def failing_closure(generators):
+        raise RuntimeError("no closure")
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", failing_closure)
+    records, errors = run_sweep(cfg, write_files=False)
+    assert not records
+    assert [(e["n"], e["method"], e["error"]) for e in errors] == [
+        (2, "full", "RuntimeError: no closure"), (2, "lie_trunc", "RuntimeError: no closure"),
+    ]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tiny_sweep_bytes_match_bench_reference(workers):
     # bench/reference.json pins records.csv for every master seed of the
@@ -425,8 +441,8 @@ def test_json_payload_contents(tmp_path):
 
 
 def test_closure_seconds_and_cell_log_lines(caplog):
-    # a serial sweep: one task per qubit count, whose methods share one
-    # closure time; one INFO line per cell from logger liepqc.sweep
+    # a serial sweep: the cells of a qubit count share one closure and its
+    # time; one INFO line per cell from logger liepqc.sweep, largest n first
     cfg = small_config(qubit_range=[2, 3], methods=["full", "lie_trunc"], opt_steps=2, workers=1)
     with caplog.at_level(logging.INFO, logger="liepqc.sweep"):
         records, errors = run_sweep(cfg, write_files=False)
@@ -436,12 +452,15 @@ def test_closure_seconds_and_cell_log_lines(caplog):
         assert len(times) == 1 and times.pop() > 0.0
     lines = [r for r in caplog.records if r.name == "liepqc.sweep"]
     assert [r.levelno for r in lines] == [logging.INFO] * 4
-    for rec, line in zip(records, lines):
-        fields = dict(item.split("=") for item in line.getMessage().split()[1:])
+    logged = {}
+    for line in lines:
         assert line.getMessage().startswith("cell ")
-        assert (int(fields["n"]), fields["method"], int(fields["frames"])) == (
-            rec.n, rec.method, rec.frames
-        )
+        fields = dict(item.split("=") for item in line.getMessage().split()[1:])
+        logged[(int(fields["n"]), fields["method"])] = fields
+    assert list(logged) == [(3, "full"), (3, "lie_trunc"), (2, "full"), (2, "lie_trunc")]
+    for rec in records:
+        fields = logged[(rec.n, rec.method)]
+        assert int(fields["frames"]) == rec.frames
         assert set(fields) == {"n", "method", "frames", "closure_s", "truncate_s",
                                "variance_s", "descent_s", "wall_s"}
         assert float(fields["closure_s"]) == pytest.approx(rec.closure_s, abs=1e-6)
@@ -661,6 +680,31 @@ def test_cli_cell_failure_exit_code(tmp_path, monkeypatch):
         "--out", str(tmp_path / "x"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("command, out, error", [
+    (["sweep", "--qubits", "2", "--methods", "full", "--samples", "2"], "sub",
+     "config error: out_dir {out}: NotADirectoryError: "),
+    (["verify"], "report.json", "input error: --out {out}: NotADirectoryError: "),
+], ids=["sweep", "verify"])
+def test_cli_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, out, error):
+    import liepqc.verify as verify_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(sweep_mod, "run_cell", no_work)
+    monkeypatch.setattr(verify_mod, "verify_suite", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / out
+    assert cli_main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error.format(out=out))
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_cli_closure_metric_truncate(tmp_path):

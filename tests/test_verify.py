@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liepqc.verify as verify_mod
-from liepqc import lie, linalg, pauli, trainability
+from liepqc import geometry, lie, linalg, pauli, trainability
 from liepqc.circuits import CircuitSpec, ParamSlot, TangentFrame
 from liepqc.geometry import SamplingSpec, fs_metric_at
 from liepqc.pauli import PauliSum
@@ -18,6 +18,8 @@ from liepqc.verify import (
     ACCEPTANCE_CHECKS,
     INVARIANT_CHECKS,
     brute_force_closure_dim,
+    check_closure_idempotence,
+    check_closure_oracle,
     check_determinism_and_budget,
     check_expm_inverse,
     check_gradient_exactness,
@@ -29,6 +31,7 @@ from liepqc.verify import (
     check_random_collapse,
     check_scaling_signature,
     check_span_preservation,
+    check_span_rank_bound,
     check_vqe_sanity,
     verify_suite,
 )
@@ -111,8 +114,37 @@ def _sine_without_i(monkeypatch):
     monkeypatch.setattr(CircuitSpec, "_trig", real_sine)
 
 
+def _rank_plus_one(monkeypatch):
+    original = geometry.metric_report
+
+    def overcounted(g, sampling):
+        rep = original(g, sampling)
+        return dataclasses.replace(rep, rank=rep.rank + 1)
+
+    monkeypatch.setattr(geometry, "metric_report", overcounted)
+
+
+def _closure_without_last_element(monkeypatch):
+    def dropped(generators):
+        basis = lie.lie_closure(generators)
+        return dataclasses.replace(basis, elements=basis.elements[:-1])
+
+    monkeypatch.setattr(verify_mod, "lie_closure", dropped)
+
+
+def _closure_capped_above_generators(monkeypatch):
+    # stops one element past its generators, so closing again can grow it
+    def capped(generators):
+        return lie.lie_closure(generators, max_dim=len(generators) + 1)
+
+    monkeypatch.setattr(verify_mod, "lie_closure", capped)
+
+
 # each check the worst-case runner serves, with a defect planted where it reads
 PLANTED_DEFECTS = {
+    "span_rank_bound": (check_span_rank_bound, _rank_plus_one),
+    "closure_oracle_equivalence": (check_closure_oracle, _closure_without_last_element),
+    "closure_idempotence": (check_closure_idempotence, _closure_capped_above_generators),
     "gradient_exactness": (check_gradient_exactness, _double_gradient),
     "metric_consistency": (check_metric_consistency, _jacobian_without_imaginary_part),
     "pauli_dense_faithful": (check_pauli_algebra, _conjugated_string_phase),
@@ -175,18 +207,32 @@ def test_determinism_check_fails_when_first_run_differs():
     cfg = SweepConfig(qubit_range=[2, 3], methods=["full", "lie_trunc"], opt_steps=3)
     cfg.sampling = SamplingSpec(n_samples=5, seed=0)
     records, errors = run_sweep(cfg, write_files=False)
-    assert check_determinism_and_budget(cfg, first_run=(records, errors, 0.0))["passed"]
+    run = (records, errors, 0.0)
+    assert check_determinism_and_budget(cfg, first_run=run, second_run=run)["passed"]
 
     nudged = list(records)
     nudged[1] = dataclasses.replace(records[1], d_eff=float(np.nextafter(records[1].d_eff, 3.0)))
-    result = check_determinism_and_budget(cfg, first_run=(nudged, errors, 0.0))
+    result = check_determinism_and_budget(cfg, first_run=(nudged, errors, 0.0), second_run=run)
     assert not result["passed"]
     assert result["detail"].startswith("identical=False, errors=0")
 
     failed = [{"n": 2, "method": "full", "error": "RuntimeError: injected"}]
-    result = check_determinism_and_budget(cfg, first_run=(records, failed, 0.0))
+    result = check_determinism_and_budget(cfg, first_run=(records, failed, 0.0), second_run=run)
     assert not result["passed"]
     assert result["detail"].startswith("identical=True, errors=1")
+
+
+def test_random_collapse_fails_with_the_error_of_its_own_cell(monkeypatch):
+    # n = 6 not swept: the check's one-cell sweep fails, so the check fails
+    import liepqc.sweep as sweep_mod
+
+    def exploding(config, n, method, base, closure):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(sweep_mod, "run_cell", exploding)
+    result = check_random_collapse(_reduced_config())
+    assert not result["passed"] and result["margin"] == -1.0
+    assert result["detail"] == "n=6 random_trunc cell failed: RuntimeError: injected"
 
 
 @pytest.fixture
@@ -222,19 +268,6 @@ def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_po
     assert margins == PINNED_MARGINS
 
 
-def test_determinism_check_alone_keeps_a_serial_baseline(monkeypatch):
-    # under the automatic default, its own first two sweeps still run on one worker
-    workers = []
-
-    def counting_run_sweep(config, write_files=True):
-        workers.append(config.workers)
-        return [], []
-
-    monkeypatch.setattr(verify_mod, "run_sweep", counting_run_sweep)
-    assert check_determinism_and_budget(SweepConfig())["passed"]
-    assert workers == [1, 1, 2]
-
-
 PINNED_MARGINS = [
     0.0, 1.000000082740371e-09, 1.0, 2.057406529513726, 9.977112166007389e-07,
     9.99928945726424e-11, 1.0, 2.051754233067877e-07, 1.0, 9.991118215802999e-13,
@@ -244,17 +277,23 @@ PINNED_MARGINS = [
 
 
 def test_verify_suite_matches_serial_checks():
-    """The two-phase schedule reports what each check reports run alone, in order."""
+    """The two-phase schedule reports what each check reports run alone, in
+    order; criteria 3, 4 and 10 are handed the suite's two serial sweeps."""
     cfg = _reduced_config()
     report = verify_suite(cfg)
-    config_checks = {
-        check_random_collapse, check_span_preservation, check_scaling_signature,
-        check_vqe_sanity, check_determinism_and_budget,
+    first, second = (verify_mod._timed_sweep(dataclasses.replace(cfg, workers=1))
+                     for _ in range(2))
+    kwargs = {
+        check_random_collapse: {"config": cfg},
+        check_span_preservation: {"records": first[0], "config": cfg},
+        check_scaling_signature: {"records": first[0]},
+        check_vqe_sanity: {"config": cfg},
+        check_determinism_and_budget: {"config": cfg, "first_run": first, "second_run": second},
     }
     runs = list(ACCEPTANCE_CHECKS) + [(None, fn) for fn in INVARIANT_CHECKS]
     assert len(report["checks"]) == len(runs) == 16
     for (label, fn), got in zip(runs, report["checks"]):
-        want = fn(config=cfg) if fn in config_checks else fn()
+        want = fn(**kwargs.get(fn, {}))
         assert got["label"] == (label or want["name"])
         assert got["name"] == want["name"]
         assert got["passed"] is want["passed"] is True
