@@ -122,6 +122,59 @@ def test_config_tfim_params_round_trip():
     assert config_from_dict(cfg.to_json()).to_json() == cfg.to_json()
 
 
+# the documents' text, key order included: records.json and `liepqc metric` write them
+PINNED_JSON = {
+    "default_config": (
+        '{"qubit_range": [2, 3, 4, 5, 6], "depth": 1, "methods": ["full", "random_trunc", '
+        '"lie_trunc"], "sampling": {"distribution": "uniform_periodic", "n_samples": 50, '
+        '"sigma": 1.0}, "loss": {"kind": "observable_expectation"}, "random_keep": 2, '
+        '"lie_depth_cap": 1, "lie_dim_budget": 0, "opt_steps": 100, "opt_rate": 0.1, '
+        '"master_seed": 14, "out_dir": "results", "workers": 0}'
+    ),
+    "tfim_gaussian_config": (
+        '{"qubit_range": [2, 3, 4, 5, 6], "depth": 1, "methods": ["lie_trunc", "full"], '
+        '"sampling": {"distribution": "gaussian", "n_samples": 7, "sigma": 0.25}, '
+        '"loss": {"kind": "vqe_tfim", "tfim_params": [0.7, 1.3]}, "random_keep": 2, '
+        '"lie_depth_cap": 1, "lie_dim_budget": 0, "opt_steps": 100, "opt_rate": 0.1, '
+        '"master_seed": 14, "out_dir": "results", "workers": 2}'
+    ),
+    "sampling": '{"distribution": "uniform_periodic", "n_samples": 50, "seed": 3, "sigma": 1.0}',
+    "scaling_fit": (
+        '{"model": "poly_in_n", "rate": 1.5, "intercept": -0.25, "r_squared": 0.875, '
+        '"n_used": 4, "n_dropped": 1}'
+    ),
+}
+
+
+def test_json_documents_are_pinned(tmp_path, capsys):
+    from liepqc.circuits import circuit_to_json
+    from liepqc.trainability import LossSpec, ScalingFit
+
+    tfim_gaussian = SweepConfig(
+        loss=LossSpec(kind="vqe_tfim", tfim_params=(0.7, 1.3)),
+        sampling=SamplingSpec(distribution="gaussian", n_samples=7, sigma=0.25),
+        methods=["lie_trunc", "full"],
+        workers=2,
+    )
+    fit = ScalingFit(model="poly_in_n", rate=1.5, intercept=-0.25, r_squared=0.875,
+                     n_used=4, n_dropped=1)
+    got = {
+        "default_config": SweepConfig().to_json(),
+        "tfim_gaussian_config": tfim_gaussian.to_json(),
+        "sampling": SamplingSpec(seed=3).to_json(),
+        "scaling_fit": fit.to_json(),
+    }
+    assert {name: json.dumps(doc) for name, doc in got.items()} == PINNED_JSON
+    circuit_file = tmp_path / "circuit.json"
+    circuit_file.write_text(json.dumps(circuit_to_json(build_ansatz("full_hea", 3, 2))))
+    assert cli_main(["metric", "--circuit", str(circuit_file), "--samples", "6",
+                     "--seed", "4"]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == (
+        "844476c242e6dd760869841a05eaefd1aa093e40a8fab27121f3977745d40ffd"
+    )
+
+
 # ---------------------------------------------------------------------------
 # cells and records
 # ---------------------------------------------------------------------------
