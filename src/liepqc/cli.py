@@ -194,21 +194,25 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from .plots import emit_plots
     from .sweep import CSV_HEADER, SweepRecord
 
-    path = Path(args.records)
+    path = reading = Path(args.records)
     try:
         rows = path.read_text().strip().splitlines()
         if len(rows) < 2 or rows[0] != CSV_HEADER:
             raise ValueError("expected the records.csv header and at least one row")
         records = [SweepRecord.from_csv_row(line) for line in rows[1:]]
+        spectra = {}
+        for rec in records:
+            reading = spectrum_path(path.parent, rec.method, rec.n)
+            if reading.exists():
+                spectra[(rec.method, rec.n)] = read_spectrum_csv(reading)
     except (OSError, ValueError) as exc:
-        print(f"input error: {path}: {exc}", file=sys.stderr)
+        print(f"input error: {reading}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    spectra = {}
-    for rec in records:
-        spec_path = spectrum_path(path.parent, rec.method, rec.n)
-        if spec_path.exists():
-            spectra[(rec.method, rec.n)] = read_spectrum_csv(spec_path)
     out_dir = args.out or path.parent
+    try:  # an unusable output path fails before any figure is drawn
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _flag_error("--out", out_dir, exc)
     created = emit_plots(records, out_dir, spectra=spectra or None)
     print(f"wrote {len(created)} figures to {out_dir}")
     return 0

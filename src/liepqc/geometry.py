@@ -10,7 +10,7 @@ scheduled across workers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +48,7 @@ class SamplingSpec:
         return self.sigma * rng.standard_normal(num_params)
 
     def to_json(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "sigma": self.sigma,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -195,6 +190,8 @@ def write_spectrum_csv(path: str | Path, eigenvalues: np.ndarray) -> None:
 
 
 def read_spectrum_csv(path: str | Path) -> np.ndarray:
+    """Inverse of :func:`write_spectrum_csv`; a row that is not (index,
+    eigenvalue) is a ValueError."""
     with Path(path).open() as fh:
         rows = list(csv.reader(fh))
-    return np.array([float(r[1]) for r in rows[1:]])
+    return np.array([float(value) for _, value in rows[1:]])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,14 +84,9 @@ class TruncationReport:
     span_preserved: bool
 
     def to_json(self) -> dict:
-        return {
-            "original_dim": self.original_dim,
-            "truncated_dim": self.truncated_dim,
-            "kept_depths": {str(k): v for k, v in sorted(self.kept_depths.items())},
-            "closure_defect_before": self.closure_defect_before,
-            "closure_defect_after": self.closure_defect_after,
-            "span_preserved": self.span_preserved,
-        }
+        """The fields in order, ``kept_depths`` keyed by ``str`` and sorted."""
+        kept = {str(k): v for k, v in sorted(self.kept_depths.items())}
+        return {**asdict(self), "kept_depths": kept}
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +399,9 @@ def _pauli_scale_generators(basis: LieBasis) -> list[PauliSum]:
 
 
 def truncated_circuit(
-    basis: LieBasis,
-    initial_state: np.ndarray | None = None,
-    family: str = "truncated",
+    basis: LieBasis, initial_state: np.ndarray | None = None
 ) -> CircuitSpec:
-    """Reduced model reachable from a truncated basis.
+    """The ``lie_trunc`` model reachable from a truncated basis.
 
     One rotation slot per basis element, |psi(c)> = prod_j exp(-i c_j H_j)
     |psi0>, at the Pauli-scale generator normalization, with exact
@@ -417,7 +410,7 @@ def truncated_circuit(
     if basis.dim == 0:
         raise ValueError("cannot build a model from an empty basis")
     slots = [ParamSlot(h) for h in _pauli_scale_generators(basis)]
-    return CircuitSpec(basis.n_qubits, slots, initial_state=initial_state, family=family)
+    return CircuitSpec(basis.n_qubits, slots, initial_state=initial_state, family="lie_trunc")
 
 
 # ---------------------------------------------------------------------------
@@ -476,5 +469,5 @@ def apply_lie_trunc(
     """
     gens = circuit.skew_generators()
     trunc, report = lie_trunc(closure, gens, depth_cap=depth_cap, dim_budget=dim_budget)
-    model = truncated_circuit(trunc, initial_state=circuit.initial_state, family="lie_trunc")
+    model = truncated_circuit(trunc, initial_state=circuit.initial_state)
     return model, trunc, report

@@ -16,18 +16,18 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     scale = max(max_abs(a), 1e-300)
-    return max_abs(a - a.conj().T) <= rtol * scale
+    return max_abs(a - a.conj().T) <= HERMITICITY_RTOL * scale
 
 
-def is_skew_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    """A = -A^dagger to rtol; for an (S, dim, dim) stack, every matrix is."""
+def is_skew_hermitian(a: np.ndarray) -> bool:
+    """A = -A^dagger to HERMITICITY_RTOL; for an (S, dim, dim) stack, every matrix is."""
     a = np.asarray(a)
     if a.size == 0:
         return True
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
-    return bool(np.all(np.abs(a + _adjoint(a)).max(axis=(-2, -1)) <= rtol * scale))
+    return bool(np.all(np.abs(a + _adjoint(a)).max(axis=(-2, -1)) <= HERMITICITY_RTOL * scale))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:

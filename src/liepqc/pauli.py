@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import HERMITICITY_RTOL
+
 PAULI_LETTERS = "IXYZ"
 
 # i^k for k = 0..3, with every zero part +0 (Python's -1j has a -0 real part)
@@ -206,22 +208,24 @@ class PauliSum:
         dim = 2 ** self.n_qubits
         return float(np.sqrt(dim * sum(abs(v) ** 2 for v in self.terms.values())))
 
-    def prune(self, rel_tol: float = 1e-16) -> "PauliSum":
-        """Drop coefficients tiny relative to the largest one (numerical dust)."""
+    def prune(self) -> "PauliSum":
+        """Drop coefficients at most 1e-16 times the largest one (numerical dust)."""
         if not self.terms:
             return self
         top = max(abs(v) for v in self.terms.values())
-        return self._like({k: v for k, v in self.terms.items() if abs(v) > rel_tol * top})
+        return self._like({k: v for k, v in self.terms.items() if abs(v) > 1e-16 * top})
 
     # -- structure queries --------------------------------------------------
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max((abs(v) for v in self.terms.values()), default=0.0)
-        return all(abs(v.imag) <= tol * max(scale, 1e-300) for v in self.terms.values())
+        tol = HERMITICITY_RTOL * max(scale, 1e-300)
+        return all(abs(v.imag) <= tol for v in self.terms.values())
 
-    def is_skew_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_skew_hermitian(self) -> bool:
         scale = max((abs(v) for v in self.terms.values()), default=0.0)
-        return all(abs(v.real) <= tol * max(scale, 1e-300) for v in self.terms.values())
+        tol = HERMITICITY_RTOL * max(scale, 1e-300)
+        return all(abs(v.real) <= tol for v in self.terms.values())
 
     def single_string(self) -> tuple[str, complex] | None:
         """(letters, coefficient) of the sum's only term, or None for other sums."""

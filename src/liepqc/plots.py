@@ -12,6 +12,7 @@ from pathlib import Path
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 48, 56
+TICK_COUNT = 5       # most ticks on a linear axis
 
 METHOD_COLORS = {
     "full": "#1f77b4",
@@ -28,15 +29,16 @@ def _color_for(label: str, index: int) -> str:
     return _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)]
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """At most ``TICK_COUNT`` ticks at a 1, 2, 2.5 or 5 step over [lo, hi]."""
     if hi <= lo:
         hi = lo + max(1.0, math.ulp(lo))  # lo + 1.0 == lo once |lo| passes 2**53
     span = hi - lo
-    raw = span / max(count - 1, 1)
+    raw = span / (TICK_COUNT - 1)
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
-        if span / step <= count:
+        if span / step <= TICK_COUNT:
             break
     start = math.ceil(lo / step) * step
     ticks = []

@@ -1,13 +1,14 @@
 """Experiment orchestration: build, truncate, measure, optimize, persist.
 
 One sweep cell is a (qubit count, method) pair, and each cell is one task.
-A sweep hands its tasks out largest qubit count first, in method order, on
-one process or on a pool.  Consecutive cells of one qubit count on one
-process share the ``full_hea`` base circuit and the Lie closure of its
-generators (:func:`_base_and_closure`).  Every cell derives its own RNG
-stream from (master_seed, n, method), so results are independent of
-execution order and worker count; record rows are sorted before writing and
-floats are serialized with repr, which makes the CSV byte-reproducible.
+A sweep hands its tasks out largest qubit count first, in method order, to
+``util.run_tasks``, which runs them on one process or on a pool.
+Consecutive cells of one qubit count on one process share the ``full_hea``
+base circuit and the Lie closure of its generators
+(:func:`_base_and_closure`).  Every cell derives its own RNG stream from
+(master_seed, n, method), so results are independent of execution order and
+worker count; record rows are sorted before writing and floats are
+serialized with repr, which makes the CSV byte-reproducible.
 
 Cell failures are caught and recorded with their traceback; the remaining
 cells still run.  A failure while building the base or its closure is
@@ -25,8 +26,7 @@ import numbers
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,7 +36,7 @@ from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import _is_number, _one_blas_thread, rng_from
+from .util import _is_number, rng_from, run_tasks
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -77,15 +77,8 @@ class SweepConfig:
         if not self.qubit_range:
             raise ConfigError("qubit_range is empty")
         integers = [("qubit_range entries", n) for n in self.qubit_range] + [
-            ("depth", self.depth),
-            ("opt_steps", self.opt_steps),
-            ("random_keep", self.random_keep),
-            ("lie_depth_cap", self.lie_depth_cap),
-            ("lie_dim_budget", self.lie_dim_budget),
-            ("master_seed", self.master_seed),
-            ("workers", self.workers),
-            ("sampling.n_samples", self.sampling.n_samples),
-        ]
+            (name, getattr(self, name)) for name in _INTEGER_FIELDS
+        ] + [("sampling.n_samples", self.sampling.n_samples)]
         for name, value in integers:
             if not _is_number(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
@@ -135,27 +128,18 @@ class SweepConfig:
             raise ConfigError(f"out_dir must be a path string, not {self.out_dir!r}")
 
     def to_json(self) -> dict:
-        return {
-            "qubit_range": list(self.qubit_range),
-            "depth": self.depth,
-            "methods": list(self.methods),
-            # each cell seeds its draws from master_seed, so sampling.seed is not a key
-            "sampling": {k: v for k, v in self.sampling.to_json().items() if k != "seed"},
-            "loss": self.loss.to_json(),
-            "random_keep": self.random_keep,
-            "lie_depth_cap": self.lie_depth_cap,
-            "lie_dim_budget": self.lie_dim_budget,
-            "opt_steps": self.opt_steps,
-            "opt_rate": self.opt_rate,
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-        }
+        """The fields in declaration order, the lists copied."""
+        data = asdict(self)
+        # each cell seeds its draws from master_seed, so sampling.seed is not a key
+        del data["sampling"]["seed"]
+        data["loss"] = self.loss.to_json()
+        return data
 
 
-_CONFIG_KEYS = set(SweepConfig().to_json().keys())
-_SAMPLING_KEYS = set(SweepConfig().to_json()["sampling"].keys())
-_LOSS_KEYS = {"kind", "tfim_params"}
+_CONFIG_KEYS = {f.name for f in fields(SweepConfig)}
+_INTEGER_FIELDS = [name for name, kind in get_type_hints(SweepConfig).items() if kind is int]
+_SAMPLING_KEYS = {f.name for f in fields(SamplingSpec)} - {"seed"}
+_LOSS_KEYS = {f.name for f in fields(LossSpec)}
 
 
 def config_from_dict(data: dict) -> SweepConfig:
@@ -402,10 +386,10 @@ def run_sweep(
     """All (n, method) cells plus CSV / JSON / spectrum / figure outputs.
 
     One task per cell, the largest, slowest qubit count's cells first, in
-    method order, so that count does not start last.  With one worker
-    (:func:`_resolve_workers`) the tasks run here in that order; with more a
-    process pool maps over them, its workers running BLAS on one thread, so
-    workers beyond the number of cells idle.  Outcomes are sorted afterwards.
+    method order, so that count does not start last.  ``util.run_tasks``
+    runs them on the :func:`_resolve_workers` processes: here in that order
+    for one worker, on a pool otherwise, where workers beyond the number of
+    cells idle.  Outcomes are sorted afterwards.
     When it writes files, ``out_dir`` is created before the first cell, and
     a path that cannot be a directory is a :class:`ConfigError`.
     """
@@ -422,13 +406,7 @@ def run_sweep(
     ]
     _base_and_closure.cache_clear()
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_one_blas_thread
-            ) as pool:
-                outcomes = list(pool.map(_cell_task, tasks))
-        else:
-            outcomes = [_cell_task(task) for task in tasks]
+        outcomes = run_tasks(_cell_task, tasks, workers)
     finally:
         _base_and_closure.cache_clear()
 

@@ -14,7 +14,7 @@ that J^T J reproduces the Fubini-Study metric exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -239,14 +239,7 @@ class ScalingFit:
     n_dropped: int
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_used": self.n_used,
-            "n_dropped": self.n_dropped,
-        }
+        return asdict(self)
 
 
 def fit_scaling(records: list[tuple[float, float, float]], model: str) -> ScalingFit:

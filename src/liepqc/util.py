@@ -1,5 +1,5 @@
 """Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
-the number check of config values, and the set-up of process-pool workers.
+the number check of config values, and the one process runner.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -13,6 +13,7 @@ import ctypes
 import hashlib
 import math
 import numbers
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -110,8 +111,23 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool workers
+# Process runner
 # ---------------------------------------------------------------------------
+
+
+def run_tasks(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, here or on a pool of ``workers`` processes.
+
+    With one worker the tasks run in this process, in order.  With more a
+    process pool, its workers running BLAS on one thread, is handed the
+    tasks in order; a failed task raises here, the first in task order.
+    ``fn`` and the tasks must pickle.
+    """
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        return list(pool.map(fn, tasks))
+
 
 # Setters of a loaded BLAS's thread count: OpenBLAS under its plain, 64-bit
 # integer and scipy-openblas (numpy's wheels) names, and MKL.
@@ -127,14 +143,13 @@ _BLAS_THREAD_SETTERS = (
 def _one_blas_thread() -> None:
     """Run the BLAS loaded in this process on one thread.
 
-    The initializer of every process pool here (the sweep's ``workers > 1``
-    pool and ``verify_suite``'s): the pool's processes already fill the
-    cores.  A BLAS that also threads each product spins its helper threads
-    against the other processes' work; on a two-core host, with BLAS threads
-    left at their default, that made the verify suite two to three times
-    slower than the serial one, and a ``workers=2`` default sweep about twice
-    as slow as with BLAS pinned.  Libraries are found through
-    ``/proc/self/maps``; where it does not exist this does nothing.
+    The initializer of :func:`run_tasks`'s pool: the pool's processes
+    already fill the cores.  A BLAS that also threads each product spins its
+    helper threads against the other processes' work; on a two-core host,
+    with BLAS threads left at their default, that made the verify suite two
+    to three times slower than the serial one, and a ``workers=2`` default
+    sweep about twice as slow as with BLAS pinned.  Libraries are found
+    through ``/proc/self/maps``; where it does not exist this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:

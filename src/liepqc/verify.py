@@ -9,21 +9,22 @@ skew algebra, an entirely separate code path from the production closure.
 
 Ten randomized checks (criteria 1 and 5-7 and six invariants) are each one
 per-case error function run by ``_worst_case``, which draws case k from its
-own stream, keeps the worst error and compares it with the tolerance.
+own stream, keeps the worst error and compares it with the tolerance.  Each
+check's seed and case count are constants: the margins it reports are
+pinned.
 
 ``verify_suite`` runs three sweeps of its config, two of them side by side
-with the checks that need no sweep (see its docstring).  Criteria 2, 3 and 4
-read the shared sweep's records and criterion 10 compares the sweeps; only
-criterion 10's ``workers=2`` run and criterion 2's one-cell sweep, when n = 6
-is not swept, are started by a check.  Every sweep runs through
-``sweep.run_sweep``.
+with the checks that need no sweep on ``util.run_tasks``'s pool (see its
+docstring).  Criteria 2, 3 and 4 read the shared sweep's records and
+criterion 10 compares the sweeps; only criterion 10's ``workers=2`` run and
+criterion 2's one-cell sweep, when n = 6 is not swept, are started by a
+check.  Every sweep runs through ``sweep.run_sweep``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -34,7 +35,7 @@ from .geometry import SamplingSpec, empirical_metric, fs_metric_at, metric_rank
 from .lie import lie_closure, orthonormalize_sums
 from .pauli import PauliSum, all_strings
 from .robustness import trial_batch
-from .sweep import SweepConfig, run_sweep, records_csv_text
+from .sweep import ConfigError, SweepConfig, run_sweep, records_csv_text
 from .trainability import (
     LossSpec,
     _expectation,
@@ -44,7 +45,7 @@ from .trainability import (
     real_jacobian,
     svd_chain_rule,
 )
-from .util import _one_blas_thread, rng_from
+from .util import rng_from, run_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def _worst_case(
 # ---------------------------------------------------------------------------
 
 
-def check_span_rank_bound(n_circuits: int = 100, seed: int = 2024) -> dict:
+def check_span_rank_bound() -> dict:
     """Empirical metric rank never exceeds the generator span dimension.
 
     Circuits use distinct Pauli-string generators; with repeated generators
@@ -202,14 +203,14 @@ def check_span_rank_bound(n_circuits: int = 100, seed: int = 2024) -> dict:
     can push the averaged rank above the span, so distinctness is part of the
     sampled hypothesis here.
     """
-    return _worst_case("span_rank_bound", lambda rng, k: _span_excess(rng, seed + k),
-                       n_circuits, seed, "span_rank", 0.0,
+    return _worst_case("span_rank_bound", _span_excess, 100, 2024, "span_rank", 0.0,
                        "{n} circuits, violations={failing}, max(rank-span)={worst:g}")
 
 
-def _span_excess(rng: np.random.Generator, sampling_seed: int) -> int:
+def _span_excess(rng: np.random.Generator, k: int) -> int:
     circuit = random_string_circuit(int(rng.integers(2, 4)), rng)
-    rep = empirical_metric(circuit, SamplingSpec(n_samples=5, seed=sampling_seed))
+    # circuit k's draws are seeded with the check's seed plus k
+    rep = empirical_metric(circuit, SamplingSpec(n_samples=5, seed=2024 + k))
     return rep.rank - circuit.num_params  # distinct unit strings are orthogonal
 
 
@@ -220,16 +221,20 @@ def check_random_collapse(config: SweepConfig | None = None, records=None) -> di
     ``config``'s sweep when ``records`` holds one; otherwise a sweep of that
     one cell of ``config`` runs, so the check reads the same whether or not
     the sweep covers n = 6.  That sweep skips the descent (``opt_steps=0``),
-    which the check never reads; a failed cell fails the check.
+    which the check never reads; a failed cell, or one that ``config``
+    cannot configure, fails the check.
     """
     config = config or SweepConfig()
     cell = next(
         (r for r in records or () if (r.n, r.method) == (6, "random_trunc")), None
     )
     if cell is None:
-        swept, errors = run_sweep(dataclasses.replace(
-            config, qubit_range=[6], methods=["random_trunc"], opt_steps=0, workers=1,
-        ), write_files=False)
+        try:
+            swept, errors = run_sweep(dataclasses.replace(
+                config, qubit_range=[6], methods=["random_trunc"], opt_steps=0, workers=1,
+            ), write_files=False)
+        except ConfigError as exc:  # such as a random_keep above 12
+            errors = [{"error": f"ConfigError: {exc}"}]
         if errors:
             return _check("random_trunc_collapse", False, -1.0,
                           f"n=6 random_trunc cell failed: {errors[0]['error']}")
@@ -299,9 +304,9 @@ def check_scaling_signature(records) -> dict:
     )
 
 
-def check_gradient_exactness(n_cases: int = 50, seed: int = 515) -> dict:
+def check_gradient_exactness() -> dict:
     """Analytic gradients match central finite differences to 1e-6 relative."""
-    return _worst_case("gradient_exactness", _gradient_error, n_cases, seed, "gradexact",
+    return _worst_case("gradient_exactness", _gradient_error, 50, 515, "gradexact",
                        1e-6, "{n} cases, worst relative error {worst:.2e}")
 
 
@@ -325,9 +330,9 @@ def _gradient_error(rng: np.random.Generator, k: int) -> float:
     return float(np.linalg.norm(grad - fd) / scale)
 
 
-def check_metric_consistency(n_cases: int = 25, seed: int = 626) -> dict:
+def check_metric_consistency() -> dict:
     """g = J^T J, Parseval identity, PSD spectrum, global-phase invariance."""
-    return _worst_case("metric_consistency", _metric_deviation, n_cases, seed, "metriccons",
+    return _worst_case("metric_consistency", _metric_deviation, 25, 626, "metriccons",
                        1e-10, "{n} cases, worst deviation {worst:.2e}")
 
 
@@ -353,9 +358,9 @@ def _metric_deviation(rng: np.random.Generator, k: int) -> float:
     ])
 
 
-def check_closure_oracle(n_sets: int = 30, seed: int = 737) -> dict:
+def check_closure_oracle() -> dict:
     """Gram-Schmidt closure dimension equals the dense brute-force oracle."""
-    return _worst_case("closure_oracle_equivalence", _oracle_mismatch, n_sets, seed, "closure",
+    return _worst_case("closure_oracle_equivalence", _oracle_mismatch, 30, 737, "closure",
                        0.0, "{n} generator sets, mismatches={failing}")
 
 
@@ -366,22 +371,21 @@ def _oracle_mismatch(rng: np.random.Generator, k: int) -> int:
     return 1 if lie_closure(gens).dim != brute_force_closure_dim([g.dense() for g in gens]) else -1
 
 
-def check_perturbation_bound(n_trials: int = 1000, seed: int = 848) -> dict:
-    """rhs - lhs >= -1e-9 over random perturbation trials at n in {1,2,3}."""
+def check_perturbation_bound() -> dict:
+    """rhs - lhs >= -1e-9 over 1000 random perturbation trials at n in {1,2,3}."""
     min_margin = np.inf
-    per_n = n_trials // 3
-    for n in (1, 2, 3):
-        trials = trial_batch(n, per_n + (n_trials - 3 * per_n if n == 3 else 0), seed + n)
+    for n, count in ((1, 333), (2, 333), (3, 334)):
+        trials = trial_batch(n, count, 848 + n)
         min_margin = min(min_margin, min(t.margin for t in trials))
     return _check(
         "perturbation_bound",
         min_margin >= -1e-9,
         float(min_margin + 1e-9),
-        f"{n_trials} trials, min margin {min_margin:.3e}",
+        f"1000 trials, min margin {min_margin:.3e}",
     )
 
 
-def check_vqe_sanity(config: SweepConfig | None = None, seed: int = 42) -> dict:
+def check_vqe_sanity(config: SweepConfig | None = None) -> dict:
     """TFIM loss respects the variational bound; descent makes early progress."""
     config = config or SweepConfig()
     loss = LossSpec(kind="vqe_tfim")
@@ -391,7 +395,7 @@ def check_vqe_sanity(config: SweepConfig | None = None, seed: int = 42) -> dict:
         circuit = build_ansatz("full_hea", n, config.depth)
         e0 = ground_energy(loss, n)
         obs = loss.observable_dense(n)
-        sampling = SamplingSpec(n_samples=20, seed=seed + n)
+        sampling = SamplingSpec(n_samples=20, seed=42 + n)
         for s in range(sampling.n_samples):
             theta = sampling.draw(circuit.num_params, s)
             value = _expectation(circuit.evolve(theta), obs)
@@ -402,7 +406,7 @@ def check_vqe_sanity(config: SweepConfig | None = None, seed: int = 42) -> dict:
     circuit3 = build_ansatz("full_hea", 3, config.depth)
     descending = 0
     for s in range(10):
-        theta0 = rng_from(seed, "vqe_descent", s).uniform(0, 2 * np.pi, circuit3.num_params)
+        theta0 = rng_from(42, "vqe_descent", s).uniform(0, 2 * np.pi, circuit3.num_params)
         _, traj = gradient_descent(circuit3, loss, theta0, 10, config.opt_rate)
         if all(traj[k + 1] < traj[k] for k in range(10)):
             descending += 1
@@ -456,9 +460,9 @@ def check_determinism_and_budget(
 # ---------------------------------------------------------------------------
 
 
-def check_pauli_algebra(seed: int = 11) -> dict:
+def check_pauli_algebra() -> dict:
     """Dense faithfulness of the operator product the closure brackets with."""
-    return _worst_case("pauli_dense_faithful", _product_error, 200, seed, "pauli",
+    return _worst_case("pauli_dense_faithful", _product_error, 200, 11, "pauli",
                        1e-12, "{n} pairs, worst {worst:.2e}")
 
 
@@ -472,8 +476,8 @@ def _product_error(rng: np.random.Generator, k: int) -> float:
     return float(np.max(np.abs((a * b).dense() - a.dense() @ b.dense())))
 
 
-def check_jacobi_identity(seed: int = 12) -> dict:
-    return _worst_case("jacobi_identity", _jacobi_residual, 25, seed, "jacobi",
+def check_jacobi_identity() -> dict:
+    return _worst_case("jacobi_identity", _jacobi_residual, 25, 12, "jacobi",
                        1e-10, "{n} random triples, worst {worst:.2e}")
 
 
@@ -488,8 +492,8 @@ def _jacobi_residual(rng: np.random.Generator, k: int) -> float:
     return linalg.max_abs(resid)
 
 
-def check_expm_inverse(seed: int = 13) -> dict:
-    return _worst_case("expm_skew_inverse", _expm_inverse_error, 25, seed, "expminv",
+def check_expm_inverse() -> dict:
+    return _worst_case("expm_skew_inverse", _expm_inverse_error, 25, 13, "expminv",
                        1e-10, "{n} random (X, t), worst {worst:.2e}")
 
 
@@ -500,9 +504,9 @@ def _expm_inverse_error(rng: np.random.Generator, k: int) -> float:
     return linalg.max_abs(linalg.expm_skew(x, t) @ linalg.expm_skew(x, -t) - np.eye(dim))
 
 
-def check_gram_schmidt(seed: int = 14) -> dict:
+def check_gram_schmidt() -> dict:
     """The closure's Gram-Schmidt returns an HS-orthonormal basis."""
-    return _worst_case("gram_schmidt_orthonormal", _orthonormality_error, 20, seed, "gs",
+    return _worst_case("gram_schmidt_orthonormal", _orthonormality_error, 20, 14, "gs",
                        1e-8, "{n} random sets, worst deviation {worst:.2e}")
 
 
@@ -520,8 +524,8 @@ def _orthonormality_error(rng: np.random.Generator, k: int) -> float:
     ])
 
 
-def check_norm_preservation(seed: int = 15) -> dict:
-    return _worst_case("evolve_norm_preservation", _norm_drift, 100, seed, "norm",
+def check_norm_preservation() -> dict:
+    return _worst_case("evolve_norm_preservation", _norm_drift, 100, 15, "norm",
                        1e-10, "{n} random (circuit, theta), worst drift {worst:.2e}")
 
 
@@ -530,8 +534,8 @@ def _norm_drift(rng: np.random.Generator, k: int) -> float:
     return abs(np.linalg.norm(circuit.evolve(theta)) - 1.0)
 
 
-def check_closure_idempotence(seed: int = 16) -> dict:
-    return _worst_case("closure_idempotence", _closure_change, 10, seed, "idem",
+def check_closure_idempotence() -> dict:
+    return _worst_case("closure_idempotence", _closure_change, 10, 16, "idem",
                        0.0, "{n} closures, {failing} changed dimension when closed again")
 
 
@@ -573,16 +577,23 @@ def _timed_check(fn, kwargs: dict) -> dict:
     return result
 
 
+def _call(task: tuple):
+    """``fn(*args)`` for a task ``(fn, args)``."""
+    fn, args = task
+    return fn(*args)
+
+
 def verify_suite(config: SweepConfig | None = None, include_invariants: bool = True) -> dict:
     """Run every acceptance check (and invariant spot checks); returns a report.
 
-    Phase 1 runs on a two-process pool: two serial sweeps of ``config``
-    (the shared sweep and criterion 10's repeat) go first, as the longest
-    tasks, then every check that needs no sweep.  Phase 2 runs here after
-    the pool has closed: criteria 2, 3 and 4 read the shared sweep's records
-    and criterion 10 compares both serial sweeps with its ``workers=2`` run,
-    whose own pool is therefore never nested in another.  A check that
-    raises raises out of this function.
+    Phase 1 is one task list that ``util.run_tasks`` runs on two processes:
+    two serial sweeps of ``config`` (the shared sweep and criterion 10's
+    repeat) go first, as the longest tasks, then every check that needs no
+    sweep.  Phase 2 runs here after the pool has closed: criteria 2, 3 and 4
+    read the shared sweep's records and criterion 10 compares both serial
+    sweeps with its ``workers=2`` run, whose own pool is therefore never
+    nested in another.  A check that raises raises out of this function;
+    in phase 1, the first failing task in list order raises.
 
     Each check dict gains its ``label`` and its ``seconds``, measured in the
     process that ran it; checks keep their list order.  The report gives the
@@ -600,14 +611,13 @@ def verify_suite(config: SweepConfig | None = None, include_invariants: bool = T
         check_scaling_signature,
         check_determinism_and_budget,
     }
-    with ProcessPoolExecutor(max_workers=2, initializer=_one_blas_thread) as pool:
-        sweeps = [pool.submit(_timed_sweep, serial) for _ in range(2)]
-        pooled = {
-            i: pool.submit(_timed_check, fn, {"config": config} if fn is check_vqe_sanity else {})
-            for i, (_, fn) in enumerate(runs) if fn not in after_sweep
-        }
-        shared, repeat = (f.result() for f in sweeps)
-        results = {i: f.result() for i, f in pooled.items()}
+    pooled = [(i, fn) for i, (_, fn) in enumerate(runs) if fn not in after_sweep]
+    tasks = [(_timed_sweep, (serial,))] * 2 + [
+        (_timed_check, (fn, {"config": config} if fn is check_vqe_sanity else {}))
+        for _, fn in pooled
+    ]
+    shared, repeat, *outcomes = run_tasks(_call, tasks, 2)
+    results = {i: result for (i, _), result in zip(pooled, outcomes)}
     records = shared[0]
     kwargs = {
         check_random_collapse: {"config": config, "records": records},

@@ -62,7 +62,7 @@ def test_default_records_match_bench_reference(default_records):
 
 def test_criterion_1_span_rank_bound():
     start = time.time()
-    result = check_span_rank_bound(n_circuits=100)
+    result = check_span_rank_bound()
     elapsed = time.time() - start
     report(1, result)
     assert result["passed"]
@@ -151,7 +151,7 @@ def test_criterion_4_scaling_law_signature(default_records):
 
 
 def test_criterion_5_gradient_exactness():
-    result = check_gradient_exactness(n_cases=50)
+    result = check_gradient_exactness()
     report(5, result)
     assert result["passed"]
 
@@ -163,14 +163,14 @@ def test_criterion_6_metric_consistency():
 
 
 def test_criterion_7_closure_oracle_equivalence():
-    result = check_closure_oracle(n_sets=30)
+    result = check_closure_oracle()
     report(7, result)
     assert result["passed"]
 
 
 def test_criterion_8_perturbation_bound():
     start = time.time()
-    result = check_perturbation_bound(n_trials=1000)
+    result = check_perturbation_bound()
     elapsed = time.time() - start
     report(8, result)
     assert result["passed"]

@@ -1,7 +1,9 @@
-"""Import footprint: the package and its entry points load without scipy, and
-the benchmark's layer tracer finds every name it patches."""
+"""Import footprint: the package and its entry points load without scipy, the
+benchmark's layer tracer finds every name it patches, and every call the
+benchmark's workloads make still binds."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -63,3 +65,29 @@ def test_layer_tracer_names_resolve():
     assert all(after[k] is before[k] for k in before)
     loss = LossSpec(kind="vqe_tfim", tfim_params=(1.0, 0.5))
     assert layertrace._observable_key((loss, 3), {}) == (3, "vqe_tfim", (1.0, 0.5), None)
+
+
+def test_benchmark_workload_calls_bind():
+    # bench/workloads.py's calls into the package, with the arguments it passes
+    from liepqc.geometry import SamplingSpec
+    from liepqc.lie import lie_closure, lie_trunc
+    from liepqc.pauli import PauliSum
+    from liepqc.sweep import SweepConfig, run_sweep
+    from liepqc.verify import verify_suite
+
+    sampling = SamplingSpec(n_samples=3)
+    config = SweepConfig(master_seed=15, qubit_range=[7, 8], depth=2, sampling=sampling,
+                         opt_steps=3)
+    calls = [
+        (lie_closure, ["gens"], {}),
+        (lie_trunc, ["closure", "gens"], {"depth_cap": 1, "dim_budget": 9}),
+        (run_sweep, [config], {}),
+        (verify_suite, [config], {"include_invariants": True}),
+        (PauliSum.from_letters, [3, "XIZ", -1j], {}),
+        (SweepConfig, [], {"master_seed": 15, "qubit_range": [7, 8], "depth": 2,
+                           "sampling": sampling, "opt_steps": 3}),
+        (SweepConfig, [], {"out_dir": "out"}),   # dataclasses.replace in SweepWorkload.run
+        (SamplingSpec, [], {"n_samples": 3}),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import liepqc.sweep as sweep_mod
+import liepqc.util as util_mod
 from liepqc.circuits import build_ansatz
 from liepqc.cli import main as cli_main
 from liepqc.geometry import SamplingSpec
@@ -257,8 +258,8 @@ def test_sweep_worker_count_independent():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """The sweep's pool replaced by one that runs here; lists each pool made
-    as its (max_workers, initializer)."""
+    """``util.run_tasks``'s pool replaced by one that runs here; lists each
+    pool made as its (max_workers, initializer)."""
     pools = []
 
     class SerialPool:
@@ -274,20 +275,24 @@ def serial_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(util_mod, "ProcessPoolExecutor", SerialPool)
     return pools
 
 
 def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
-    # the workers > 1 pool and verify's pool share one BLAS-pinning initializer
-    import liepqc.util as util_mod
-    import liepqc.verify as verify_mod
+    # one pool of 2 for workers=2, none for workers=1; only util starts pools
+    import liepqc
+    import liepqc.verify  # noqa: F401  (loaded, so its names are checked too)
 
-    cfg = small_config(qubit_range=[2, 3], workers=2)
-    records, errors = run_sweep(cfg, write_files=False)
-    assert len(records) == 2 and not errors
-    assert serial_pool == [(2, util_mod._one_blas_thread)]
-    assert verify_mod._one_blas_thread is util_mod._one_blas_thread
+    for workers, pools in ((2, [(2, util_mod._one_blas_thread)]), (1, [])):
+        serial_pool.clear()
+        records, errors = run_sweep(small_config(qubit_range=[2, 3], workers=workers),
+                                    write_files=False)
+        assert len(records) == 2 and not errors
+        assert serial_pool == pools
+    for name, module in vars(liepqc).items():
+        if name != "util" and hasattr(module, "__file__"):
+            assert not {"ProcessPoolExecutor", "_one_blas_thread"} & set(vars(module)), name
 
 
 @pytest.mark.parametrize("cpus, qubit_range, workers, pool", [
@@ -655,6 +660,29 @@ def test_cli_plot_rejects_foreign_csv(tmp_path):
         assert cli_main(["plot", "--records", str(foreign)]) == 2
     for unreadable in (tmp_path / "missing.csv", tmp_path):
         assert cli_main(["plot", "--records", str(unreadable)]) == 2
+
+
+@pytest.mark.parametrize("case", ["output_below_a_file", "spectrum_value", "spectrum_row"])
+def test_cli_plot_input_and_output_errors_exit_2(tmp_path, capsys, case):
+    run = tmp_path / "run"
+    assert cli_main(["sweep", "--qubits", "2", "--methods", "full", "--samples", "2",
+                     "--out", str(run)]) == 0
+    for figure in run.glob("*.svg"):
+        figure.unlink()
+    capsys.readouterr()
+    spectrum = run / "spectrum_full_2.csv"
+    out, culprit, error = run, spectrum, "ValueError"
+    if case == "output_below_a_file":
+        out = spectrum / "figures"
+        culprit, error = f"--out {out}", "NotADirectoryError"
+    else:
+        spectrum.write_text("index,eigenvalue\n" + ("0,abc\n" if case == "spectrum_value" else "0\n"))
+    assert cli_main(["plot", "--records", str(run / "records.csv"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {culprit}: {error}: ")
+    assert captured.err.count("\n") == 1
+    assert not list(run.glob("*.svg"))
 
 
 def test_cli_config_error_exit_code(tmp_path):

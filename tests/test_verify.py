@@ -1,13 +1,13 @@
 """Verification machinery: oracle sanity, mutation sensitivity, report shape."""
 
 import dataclasses
-import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import liepqc.util as util_mod
 import liepqc.verify as verify_mod
 from liepqc import geometry, lie, linalg, pauli, trainability
 from liepqc.circuits import CircuitSpec, ParamSlot, TangentFrame
@@ -235,13 +235,29 @@ def test_random_collapse_fails_with_the_error_of_its_own_cell(monkeypatch):
     assert result["detail"] == "n=6 random_trunc cell failed: RuntimeError: injected"
 
 
+def test_random_collapse_fails_when_its_own_cell_cannot_be_configured():
+    # keep 14 is valid from n = 7 on, but not for the check's n = 6 cell
+    result = check_random_collapse(SweepConfig(qubit_range=[7, 8], random_keep=14))
+    assert not result["passed"] and result["margin"] == -1.0
+    assert result["detail"] == (
+        "n=6 random_trunc cell failed: ConfigError: "
+        "random_keep must lie in [1, 12] (2 * smallest qubit count)"
+    )
+
+
 @pytest.fixture
 def forked_pool(monkeypatch):
-    """verify_suite's pool with forked children, which inherit this test's patches."""
+    """``util.run_tasks``'s pool with forked children, which inherit this
+    test's patches; lists each pool made as its (max_workers, initializer)."""
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(
-        verify_mod, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
-    )
+    pools = []
+
+    def forked(max_workers, initializer):
+        pools.append((max_workers, initializer))
+        return ProcessPoolExecutor(max_workers, mp_context=fork, initializer=initializer)
+
+    monkeypatch.setattr(util_mod, "ProcessPoolExecutor", forked)
+    return pools
 
 
 def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_pool):
@@ -257,6 +273,8 @@ def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_po
     report = verify_suite(SweepConfig())
     workers = sorted(int(line) for line in calls.read_text().split())
     assert workers == [1, 1, 2]   # shared, serial repeat, workers=2
+    # the suite's one pool, then the one of criterion 10's workers=2 sweep
+    assert forked_pool == [(2, util_mod._one_blas_thread)] * 2
     assert report["passed"] is True
     assert 0.0 < report["shared_sweep_s"] < report["wall_s"]
     for chk in report["checks"]:
