@@ -149,13 +149,15 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _flag_error("--keep", args.keep, exc)
     else:
-        budget = args.budget if args.budget and args.budget > 0 else None
+        # 0 is the automatic budget; a negative one is below every span
         closure = lie_closure(circuit.skew_generators())
         try:
             model, basis, report = apply_lie_trunc(
-                circuit, closure, depth_cap=args.depth_cap, dim_budget=budget
+                circuit, closure, depth_cap=args.depth_cap, dim_budget=args.budget or None
             )
         except ValueError as exc:
+            if args.depth_cap < 0:
+                return _flag_error("--depth-cap", args.depth_cap, exc)
             return _flag_error("--budget", args.budget, exc)
     out = {
         "basis": basis.to_json(),

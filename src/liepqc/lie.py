@@ -277,6 +277,8 @@ def lie_trunc(
     ``closure`` must be ``lie_closure(generators)``: its depth-0 elements are
     the orthonormalized generator span.
     """
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be >= 0, got {depth_cap}")
     tol = _default_tol(generators)
     selected = [el for el, d in zip(closure.elements, closure.depth_tags) if d == 0]
     sel_depths = [0] * len(selected)

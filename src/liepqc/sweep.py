@@ -2,13 +2,14 @@
 
 One sweep cell is a (qubit count, method) pair, and each cell is one task.
 A sweep hands its tasks out largest qubit count first, in method order, to
-``util.run_tasks``, which runs them on one process or on a pool.
-Consecutive cells of one qubit count on one process share the ``full_hea``
-base circuit and the Lie closure of its generators
-(:func:`_base_and_closure`).  Every cell derives its own RNG stream from
-(master_seed, n, method), so results are independent of execution order and
-worker count; record rows are sorted before writing and floats are
-serialized with repr, which makes the CSV byte-reproducible.
+``util.run_tasks``, which runs them on one process or on a pool that it
+keeps for later sweeps.  Consecutive cells of one qubit count in one sweep
+on one process share the ``full_hea`` base circuit and the Lie closure of
+its generators (:func:`_base_and_closure`); a sweep never reuses another
+sweep's, even on a reused pool process.  Every cell derives its own RNG
+stream from (master_seed, n, method), so results are independent of
+execution order and worker count; record rows are sorted before writing
+and floats are serialized with repr, which makes the CSV byte-reproducible.
 
 Cell failures are caught and recorded with their traceback; the remaining
 cells still run.  A failure while building the base or its closure is
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -317,13 +319,15 @@ def _failure(exc: Exception) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _base_and_closure(n: int, depth: int) -> tuple[CircuitSpec, LieBasis, float]:
+def _base_and_closure(n: int, depth: int, sweep: int) -> tuple[CircuitSpec, LieBasis, float]:
     """The ``full_hea`` base circuit, the Lie closure of its generators and
     the seconds both took.
 
-    The one-entry memo lets consecutive cells of one qubit count share them;
-    :func:`run_sweep` clears it when a sweep starts and when it ends.  A
-    failed build is not kept, so each cell of that count records the failure.
+    The one-entry memo lets consecutive cells of one qubit count in one
+    sweep share them.  ``sweep`` is the sweep's own key, so a pool process
+    that a later sweep reuses builds them again; :func:`run_sweep` also
+    clears the memo here when a sweep starts and when it ends.  A failed
+    build is not kept, so each cell of that count records the failure.
     """
     start = time.perf_counter()
     base = build_ansatz("full_hea", n, depth)
@@ -332,12 +336,13 @@ def _base_and_closure(n: int, depth: int) -> tuple[CircuitSpec, LieBasis, float]
 
 
 def _cell_task(
-    args: tuple[SweepConfig, int, str]
+    args: tuple[SweepConfig, int, str, int]
 ) -> tuple[int, str, SweepRecord | None, dict | None]:
-    """One (n, method) cell, as (n, method, record, failure)."""
-    config, n, method = args
+    """One (n, method) cell of the sweep keyed ``sweep``, as (n, method,
+    record, failure)."""
+    config, n, method, sweep = args
     try:
-        base, closure, closure_s = _base_and_closure(n, config.depth)
+        base, closure, closure_s = _base_and_closure(n, config.depth, sweep)
         record = run_cell(config, n, method, base, closure)
     except Exception as exc:  # cell isolation: report, do not abort the sweep
         return n, method, None, _failure(exc)
@@ -359,6 +364,10 @@ def _log_cell(record: SweepRecord) -> None:
 # ---------------------------------------------------------------------------
 # Full sweep
 # ---------------------------------------------------------------------------
+
+
+# Each sweep's key for :func:`_base_and_closure`, unique in this process.
+_sweep_keys = itertools.count()
 
 
 def _resolve_workers(config: SweepConfig) -> int:
@@ -388,8 +397,8 @@ def run_sweep(
     One task per cell, the largest, slowest qubit count's cells first, in
     method order, so that count does not start last.  ``util.run_tasks``
     runs them on the :func:`_resolve_workers` processes: here in that order
-    for one worker, on a pool otherwise, where workers beyond the number of
-    cells idle.  Outcomes are sorted afterwards.
+    for one worker, on its reused pool otherwise, where workers beyond the
+    number of cells idle.  Outcomes are sorted afterwards.
     When it writes files, ``out_dir`` is created before the first cell, and
     a path that cannot be a directory is a :class:`ConfigError`.
     """
@@ -399,8 +408,9 @@ def run_sweep(
         except OSError as exc:
             raise ConfigError(f"out_dir {config.out_dir}: {type(exc).__name__}: {exc}") from exc
     workers = _resolve_workers(config)
+    sweep = next(_sweep_keys)
     tasks = [
-        (config, n, method)
+        (config, n, method, sweep)
         for n in sorted(config.qubit_range, reverse=True)
         for method in config.methods
     ]

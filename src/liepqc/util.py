@@ -1,5 +1,6 @@
 """Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
-the number check of config values, and the one process runner.
+the number check of config values, and the one process runner, whose
+pool is kept and reused for the life of the process.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import multiprocessing
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 
@@ -115,6 +117,11 @@ def _is_number(value, kind=numbers.Real) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# The pool :func:`run_tasks` reuses, as (workers, executor); None until the
+# first pooled call and after a failed one.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
 def run_tasks(fn, tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]``, here or on a pool of ``workers`` processes.
 
@@ -122,11 +129,42 @@ def run_tasks(fn, tasks: list, workers: int) -> list:
     process pool, its workers running BLAS on one thread, is handed the
     tasks in order; a failed task raises here, the first in task order.
     ``fn`` and the tasks must pickle.
+
+    The pool stays up for later calls with the same worker count, so its
+    processes are forked once, at the first pooled call: they do not see
+    what this process patches or configures after that.  A call with
+    another count closes the pool before it forks the new one.  Whatever
+    raises out of a pooled call, a task's error or a broken pool, closes
+    the pool first, so the next call starts on a fresh one.
+
+    In a process that multiprocessing started, a pool's process say, the
+    tasks run here whatever ``workers`` is: it would inherit its parent's pool
+    as a copy that reaches the parent's queues, and a pool kept there would
+    keep it from exiting, since multiprocessing joins a process's children
+    before ``concurrent.futures`` shuts its pools down.
     """
-    if workers <= 1:
+    global _pool
+    if workers <= 1 or multiprocessing.parent_process() is not None:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, tasks))
+    if _pool is None or _pool[0] != workers:
+        _close_pool()
+        _pool = workers, ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    try:
+        return list(_pool[1].map(fn, tasks))
+    except BaseException:
+        _close_pool()
+        raise
+
+
+def _close_pool() -> None:
+    """Shut the reused pool down, its queued tasks cancelled, and wait for
+    its processes to exit.  At interpreter exit ``concurrent.futures``
+    joins them on its own."""
+    global _pool
+    if _pool is not None:
+        pool = _pool[1]
+        _pool = None
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # Setters of a loaded BLAS's thread count: OpenBLAS under its plain, 64-bit

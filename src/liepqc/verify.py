@@ -14,8 +14,9 @@ check's seed and case count are constants: the margins it reports are
 pinned.
 
 ``verify_suite`` runs three sweeps of its config, two of them side by side
-with the checks that need no sweep on ``util.run_tasks``'s pool (see its
-docstring).  Criteria 2, 3 and 4 read the shared sweep's records and
+with the checks that need no sweep on ``util.run_tasks``'s pool, which the
+third, criterion 10's ``workers=2`` sweep, reuses (see its docstring).
+Criteria 2, 3 and 4 read the shared sweep's records and
 criterion 10 compares the sweeps; only criterion 10's ``workers=2`` run and
 criterion 2's one-cell sweep, when n = 6 is not swept, are started by a
 check.  Every sweep runs through ``sweep.run_sweep``.
@@ -589,11 +590,13 @@ def verify_suite(config: SweepConfig | None = None, include_invariants: bool = T
     Phase 1 is one task list that ``util.run_tasks`` runs on two processes:
     two serial sweeps of ``config`` (the shared sweep and criterion 10's
     repeat) go first, as the longest tasks, then every check that needs no
-    sweep.  Phase 2 runs here after the pool has closed: criteria 2, 3 and 4
-    read the shared sweep's records and criterion 10 compares both serial
-    sweeps with its ``workers=2`` run, whose own pool is therefore never
-    nested in another.  A check that raises raises out of this function;
-    in phase 1, the first failing task in list order raises.
+    sweep.  Phase 2 runs here once phase 1's tasks have returned: criteria
+    2, 3 and 4 read the shared sweep's records and criterion 10 compares
+    both serial sweeps with its ``workers=2`` run, which runs on phase 1's
+    pool of two, kept up by ``util.run_tasks``, and never nests a pool in
+    another.  A later suite in this process reuses that pool too.  A check
+    that raises raises out of this function; in phase 1, the first failing
+    task in list order raises.
 
     Each check dict gains its ``label`` and its ``seconds``, measured in the
     process that ran it; checks keep their list order.  The report gives the

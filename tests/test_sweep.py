@@ -3,6 +3,10 @@
 import hashlib
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -259,24 +263,24 @@ def test_sweep_worker_count_independent():
 @pytest.fixture
 def serial_pool(monkeypatch):
     """``util.run_tasks``'s pool replaced by one that runs here; lists each
-    pool made as its (max_workers, initializer)."""
+    pool made as its (max_workers, initializer).  The kept pool is closed
+    before and after the test, so no test reuses another's."""
     pools = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer=None):
             pools.append((max_workers, initializer))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
         def map(self, fn, items):
             return map(fn, items)
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    util_mod._close_pool()
     monkeypatch.setattr(util_mod, "ProcessPoolExecutor", SerialPool)
-    return pools
+    yield pools
+    util_mod._close_pool()
 
 
 def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
@@ -316,7 +320,7 @@ def test_pool_runs_one_task_per_cell_largest_n_first(serial_pool, monkeypatch):
     real_task = sweep_mod._cell_task
 
     def recording(args):
-        tasks.append(args[1:])
+        tasks.append(args[1:3])
         return real_task(args)
 
     monkeypatch.setattr(sweep_mod, "_cell_task", recording)
@@ -355,6 +359,83 @@ def test_automatic_workers_without_an_affinity_call(serial_pool, monkeypatch):
     monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: None)   # unknown: one
     run_sweep(small_config(qubit_range=[2, 3]), write_files=False)
     assert [max_workers for max_workers, _ in serial_pool] == [2]
+
+
+def test_a_second_pooled_sweep_reuses_the_pool(tmp_path, forked_pool):
+    # the same CSV bytes from the pool's fresh processes and from its reused ones
+    texts = []
+    for run in ("first", "second"):
+        cfg = small_config(qubit_range=[2, 3], methods=list(sweep_mod.KNOWN_METHODS),
+                           workers=2, out_dir=str(tmp_path / run))
+        records, errors = run_sweep(cfg)
+        assert len(records) == 6 and not errors
+        assert forked_pool == [(2, util_mod._one_blas_thread)]
+        texts.append((tmp_path / run / "records.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_a_reused_pool_process_rebuilds_each_closure(tmp_path, monkeypatch, forked_pool):
+    # patched before the pool forks, so its processes log each closure and
+    # each cell they run; in every sweep, each process builds each qubit
+    # count's closure once, before its first cell of that count
+    log = tmp_path / "log"
+    real_closure, real_cell = sweep_mod.lie_closure, sweep_mod.run_cell
+
+    def logging_closure(generators):
+        with log.open("a") as fh:
+            fh.write(f"closure {os.getpid()} {generators[0].n_qubits}\n")
+        return real_closure(generators)
+
+    def logging_cell(config, n, method, base, closure):
+        with log.open("a") as fh:
+            fh.write(f"cell {os.getpid()} {n}\n")
+        return real_cell(config, n, method, base, closure)
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", logging_closure)
+    monkeypatch.setattr(sweep_mod, "run_cell", logging_cell)
+    # the default grid, then one qubit count, whose closure a reused process
+    # would still hold from the sweep before
+    one_count = small_config(qubit_range=[3], methods=list(sweep_mod.KNOWN_METHODS), workers=2)
+    for cfg in [SweepConfig(workers=2)] * 2 + [one_count] * 3:
+        log.write_text("")
+        records, errors = run_sweep(cfg, write_files=False)
+        assert len(records) == len(cfg.qubit_range) * len(cfg.methods) and not errors
+        lines = [tuple(line.split()) for line in log.read_text().splitlines()]
+        closures = [(pid, n) for kind, pid, n in lines if kind == "closure"]
+        cells = {(pid, n) for kind, pid, n in lines if kind == "cell"}
+        assert len(closures) == len(set(closures)) and set(closures) == cells
+        for i, (kind, pid, n) in enumerate(lines):
+            assert kind == "closure" or ("closure", pid, n) in lines[:i]
+    assert forked_pool == [(2, util_mod._one_blas_thread)]
+
+
+def test_pooled_sweeps_exit_cleanly():
+    # the kept pool is joined at interpreter exit: no hang, exit status 0;
+    # a workers=2 sweep inside a pool process runs there and returns
+    src = Path(sweep_mod.__file__).resolve().parents[1]
+    code = (
+        "from liepqc.sweep import SweepConfig, run_sweep\n"
+        "from liepqc.geometry import SamplingSpec\n"
+        "from liepqc.util import run_tasks\n"
+        "cfg = SweepConfig(qubit_range=[2, 3], methods=['full'], opt_steps=0, workers=2,\n"
+        "                  sampling=SamplingSpec(n_samples=4))\n"
+        "def sweep(_):\n"
+        "    records, errors = run_sweep(cfg, write_files=False)\n"
+        "    assert len(records) == 2 and not errors\n"
+        "for _ in range(2):\n"
+        "    sweep(None)\n"
+        "run_tasks(sweep, [0, 1], 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)   # the pool processes too
+        proc.communicate()
+        pytest.fail("pooled sweeps did not exit within 120 s")
+    assert proc.returncode == 0, stderr
 
 
 def test_automatic_workers_is_one_in_a_pool_child(monkeypatch):
@@ -807,6 +888,8 @@ def test_cli_closure_metric_truncate(tmp_path):
     (["truncate", "--mode", "lie"], ("--budget", "1")),     # below the span, 4 at n = 2
     (["truncate", "--mode", "random"], ("--keep", "0")),
     (["closure"], ("--max-dim", "1")),                      # below the span, 4 at n = 2
+    (["truncate", "--mode", "lie"], ("--budget", "-3")),
+    (["truncate", "--mode", "lie"], ("--depth-cap", "-1")),
 ])
 def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     # bad circuit files, then a good circuit with a flag value the library rejects

@@ -1,15 +1,22 @@
-"""Seeding, deterministic reductions, complex JSON encoding."""
+"""Seeding, deterministic reductions, complex JSON encoding, the process runner."""
+
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepqc.util as util_mod
 from liepqc.util import (
     complex_from_json,
     complex_to_json,
     pairwise_mean,
     pairwise_sum,
     rng_from,
+    run_tasks,
     stable_key,
 )
 
@@ -82,3 +89,45 @@ def test_pairwise_sum_matches_recursive_pairing_property(values):
     got = pairwise_sum(np.array(values))
     want = _pairing_reference([np.float64(v) for v in values])
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# run_tasks's kept pool
+# ---------------------------------------------------------------------------
+
+
+def _exit_in_task(code):
+    os._exit(code)
+
+
+def _raise_in_task(value):
+    raise LookupError(value)
+
+
+def test_a_task_that_kills_its_process_raises_and_the_next_call_starts_clean(forked_pool):
+    with pytest.raises(BrokenProcessPool):
+        run_tasks(_exit_in_task, [3], 2)
+    assert util_mod._pool is None and multiprocessing.active_children() == []
+    assert run_tasks(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    with pytest.raises(LookupError, match="injected"):
+        run_tasks(_raise_in_task, ["injected"], 2)
+    assert util_mod._pool is None and multiprocessing.active_children() == []
+    assert run_tasks(abs, [-4], 2) == [4]
+    assert forked_pool == [(2, util_mod._one_blas_thread)] * 3
+
+
+def test_a_new_worker_count_closes_the_pool_before_forking(monkeypatch, forked_pool):
+    # no fork while another pool's processes or threads are alive
+    threads = threading.active_count()
+    opening = util_mod.ProcessPoolExecutor
+    alive = []
+
+    def checking(max_workers, initializer):
+        alive.append((len(multiprocessing.active_children()), threading.active_count()))
+        return opening(max_workers, initializer)
+
+    monkeypatch.setattr(util_mod, "ProcessPoolExecutor", checking)
+    for workers in (2, 3, 3, 1, 2, 2):
+        assert run_tasks(abs, [-1, -2, -3], workers) == [1, 2, 3]
+    assert [max_workers for max_workers, _ in forked_pool] == [2, 3, 2]
+    assert alive == [(0, threads)] * 3

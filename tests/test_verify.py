@@ -1,8 +1,6 @@
 """Verification machinery: oracle sanity, mutation sensitivity, report shape."""
 
 import dataclasses
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -245,21 +243,6 @@ def test_random_collapse_fails_when_its_own_cell_cannot_be_configured():
     )
 
 
-@pytest.fixture
-def forked_pool(monkeypatch):
-    """``util.run_tasks``'s pool with forked children, which inherit this
-    test's patches; lists each pool made as its (max_workers, initializer)."""
-    fork = multiprocessing.get_context("fork")
-    pools = []
-
-    def forked(max_workers, initializer):
-        pools.append((max_workers, initializer))
-        return ProcessPoolExecutor(max_workers, mp_context=fork, initializer=initializer)
-
-    monkeypatch.setattr(util_mod, "ProcessPoolExecutor", forked)
-    return pools
-
-
 def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_pool):
     # two of the sweeps run in pool children, so each call leaves a line in a file
     calls = tmp_path / "run_sweep_calls"
@@ -270,20 +253,22 @@ def test_verify_suite_runs_three_default_sweeps(monkeypatch, tmp_path, forked_po
         return run_sweep(config, write_files=write_files)
 
     monkeypatch.setattr(verify_mod, "run_sweep", counting_run_sweep)
-    report = verify_suite(SweepConfig())
-    workers = sorted(int(line) for line in calls.read_text().split())
-    assert workers == [1, 1, 2]   # shared, serial repeat, workers=2
-    # the suite's one pool, then the one of criterion 10's workers=2 sweep
-    assert forked_pool == [(2, util_mod._one_blas_thread)] * 2
-    assert report["passed"] is True
-    assert 0.0 < report["shared_sweep_s"] < report["wall_s"]
-    for chk in report["checks"]:
-        assert set(chk) == {"name", "passed", "margin", "detail", "label", "seconds"}
-        assert chk["seconds"] >= 0.0
-    # the margins are machine bits, pinned like the records.csv reference in
-    # test_default_records_match_bench_reference; criterion 10's is a time
-    margins = [c["margin"] for c in report["checks"] if c["name"] != "determinism_and_budget"]
-    assert margins == PINNED_MARGINS
+    for _ in range(2):
+        calls.write_text("")
+        report = verify_suite(SweepConfig())
+        workers = sorted(int(line) for line in calls.read_text().split())
+        assert workers == [1, 1, 2]   # shared, serial repeat, workers=2
+        # one pool of 2 for both phases of the first suite, none for the second
+        assert forked_pool == [(2, util_mod._one_blas_thread)]
+        assert report["passed"] is True
+        assert 0.0 < report["shared_sweep_s"] < report["wall_s"]
+        for chk in report["checks"]:
+            assert set(chk) == {"name", "passed", "margin", "detail", "label", "seconds"}
+            assert chk["seconds"] >= 0.0
+        # the margins are machine bits, pinned like the records.csv reference in
+        # test_default_records_match_bench_reference; criterion 10's is a time
+        margins = [c["margin"] for c in report["checks"] if c["name"] != "determinism_and_budget"]
+        assert margins == PINNED_MARGINS
 
 
 PINNED_MARGINS = [
