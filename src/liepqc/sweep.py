@@ -201,6 +201,7 @@ class SweepRecord:
     closure_defect: float
     wall_time: float = 0.0
     frames: int = 0
+    descent_cycle: list[int] | None = None
     stage_s: dict[str, float] = field(default_factory=dict)
     closure_s: float = 0.0
     eigenvalues: list[float] = field(default_factory=list, repr=False)
@@ -223,7 +224,8 @@ class SweepRecord:
         return cls(**{name: kind(cell) for (name, kind), cell in zip(_CSV_FIELDS.items(), cells)})
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields by name, not copied: ``json.dumps`` only reads them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # the CSV's fields in order, each with its type
@@ -251,7 +253,9 @@ def run_cell(
     ``truncate`` (building the method's model), ``variance`` (the draws'
     frames, metric and gradient variance) and ``descent``.  ``frames``
     counts the tangent frames evaluated: one per draw and one per descent
-    step.
+    step up to the first step whose theta repeats an earlier one bit for
+    bit; ``descent_cycle`` is that repeat's [start, period], or None
+    (:func:`~liepqc.trainability.gradient_descent`).
     """
     start = time.perf_counter()
     seed = cell_seed(config.master_seed, n, method)
@@ -281,7 +285,7 @@ def run_cell(
 
     varied = time.perf_counter()
     theta0 = rng_from(seed, "theta0").uniform(0.0, 2.0 * np.pi, model.num_params)
-    _, trajectory = gradient_descent(
+    _, trajectory, cycle = gradient_descent(
         model, config.loss, theta0, config.opt_steps, config.opt_rate
     )
     end = time.perf_counter()
@@ -301,7 +305,8 @@ def run_cell(
         truncated_dim=truncated_dim,
         closure_defect=defect,
         wall_time=end - start,
-        frames=variance.n_samples + len(trajectory) - 1,
+        frames=variance.n_samples + (sum(cycle) if cycle else config.opt_steps),
+        descent_cycle=list(cycle) if cycle else None,
         stage_s={"truncate": truncated - start, "variance": varied - truncated,
                  "descent": end - varied},
         eigenvalues=[float(v) for v in metric.eigenvalues],
@@ -353,11 +358,14 @@ def _cell_task(
 
 def _log_cell(record: SweepRecord) -> None:
     """One ``key=value`` line per finished cell at level INFO, from the
-    process that ran it."""
+    process that ran it: ``frames`` is the count evaluated and
+    ``descent_cycle`` the descent's ``start,period`` or ``none``."""
     stages = " ".join(f"{name}_s={secs:.6f}" for name, secs in record.stage_s.items())
+    cycle = ",".join(map(str, record.descent_cycle)) if record.descent_cycle else "none"
     log.info(
-        "cell n=%d method=%s frames=%d closure_s=%.6f %s wall_s=%.6f",
-        record.n, record.method, record.frames, record.closure_s, stages, record.wall_time,
+        "cell n=%d method=%s frames=%d descent_cycle=%s closure_s=%.6f %s wall_s=%.6f",
+        record.n, record.method, record.frames, cycle, record.closure_s, stages,
+        record.wall_time,
     )
 
 

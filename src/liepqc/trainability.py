@@ -287,14 +287,35 @@ def gradient_descent(
     theta0: np.ndarray,
     steps: int,
     rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-rate descent; returns (final theta, loss trajectory incl. start)."""
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """Fixed-rate descent: (final theta, loss trajectory incl. start, cycle).
+
+    A step's loss and update are a function of theta's bits alone, so once
+    theta_k repeats an earlier theta_j bit for bit (``tobytes``, so -0.0
+    and +0.0 differ) the rest of the descent repeats theta_j..theta_{k-1}.
+    No frame is evaluated from step k on: the trajectory and the final theta
+    are filled in from that cycle, with the bits of the plain
+    one-frame-per-step loop.  ``cycle`` is (j, k - j), its start and
+    period, or None if no theta repeats before the last step, so the
+    descent evaluates ``sum(cycle)`` frames, or ``steps``.  The final loss
+    is taken from ``circuit.evolve`` either way.
+    """
     obs = loss.observable_dense(circuit.n_qubits)
     theta = np.asarray(theta0, dtype=float).copy()
     losses = np.empty(steps + 1)
+    thetas: list[np.ndarray] = []
+    first_step: dict[bytes, int] = {}
+    cycle = None
     for k in range(steps):
+        j = first_step.setdefault(theta.tobytes(), k)
+        if j < k:
+            cycle = j, k - j
+            losses[k:steps] = losses[j + (np.arange(k, steps) - j) % (k - j)]
+            theta = thetas[j + (steps - j) % (k - j)]
+            break
+        thetas.append(theta)
         value, grad = _observable_loss_and_gradient(circuit, theta, obs)
         losses[k] = value
         theta = theta - rate * grad
     losses[steps] = _expectation(circuit.evolve(theta), obs)
-    return theta, losses
+    return theta, losses, cycle

@@ -15,7 +15,7 @@ import hashlib
 import math
 import multiprocessing
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 
@@ -133,9 +133,13 @@ def run_tasks(fn, tasks: list, workers: int) -> list:
     The pool stays up for later calls with the same worker count, so its
     processes are forked once, at the first pooled call: they do not see
     what this process patches or configures after that.  A call with
-    another count closes the pool before it forks the new one.  Whatever
-    raises out of a pooled call, a task's error or a broken pool, closes
-    the pool first, so the next call starts on a fresh one.
+    another count closes the pool before it forks the new one.  A pool
+    already marked broken, by a process that died while it sat idle,
+    raises as the tasks are submitted, before any result is read; it is
+    closed and the tasks go to a fresh pool of the same count.  Whatever
+    else raises out of a pooled call, a task's error or a broken pool,
+    closes the pool first, so the next call starts on a fresh one; a death
+    the pool has not yet noticed therefore still raises, once.
 
     In a process that multiprocessing started, a pool's process say, the
     tasks run here whatever ``workers`` is: it would inherit its parent's pool
@@ -147,13 +151,26 @@ def run_tasks(fn, tasks: list, workers: int) -> list:
     if workers <= 1 or multiprocessing.parent_process() is not None:
         return [fn(task) for task in tasks]
     if _pool is None or _pool[0] != workers:
-        _close_pool()
-        _pool = workers, ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+        _open_pool(workers)
     try:
-        return list(_pool[1].map(fn, tasks))
+        try:
+            # map submits every task before it returns, and submitting to a
+            # broken pool raises at once
+            results = _pool[1].map(fn, tasks)
+        except BrokenProcessPool:
+            _open_pool(workers)
+            results = _pool[1].map(fn, tasks)
+        return list(results)
     except BaseException:
         _close_pool()
         raise
+
+
+def _open_pool(workers: int) -> None:
+    """Close the reused pool, then fork a new one of ``workers`` processes."""
+    global _pool
+    _close_pool()
+    _pool = workers, ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
 
 
 def _close_pool() -> None:

@@ -408,7 +408,7 @@ def check_vqe_sanity(config: SweepConfig | None = None) -> dict:
     descending = 0
     for s in range(10):
         theta0 = rng_from(42, "vqe_descent", s).uniform(0, 2 * np.pi, circuit3.num_params)
-        _, traj = gradient_descent(circuit3, loss, theta0, 10, config.opt_rate)
+        _, traj, _ = gradient_descent(circuit3, loss, theta0, 10, config.opt_rate)
         if all(traj[k + 1] < traj[k] for k in range(10)):
             descending += 1
     passed = bound_ok and descending >= 9

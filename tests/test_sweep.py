@@ -538,24 +538,36 @@ def test_sweep_clears_the_shared_closure_when_it_ends(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tiny_sweep_bytes_match_bench_reference(workers):
-    # bench/reference.json pins records.csv for every master seed of the
-    # tiny_sweep grid in bench/workloads.py; this reads it and never writes it
+def assert_bench_reference_bytes(workload: str, **grid):
+    """The sweep of ``grid`` writes the records.csv that bench/reference.json
+    pins for ``workload`` at each of its 8 master seeds; the file is read,
+    never written."""
     reference = json.loads(
         (Path(__file__).parents[1] / "bench" / "reference.json").read_text()
-    )["tiny_sweep"]
+    )[workload]
     assert len(reference) == 8
     for master_seed, expected in reference.items():
-        cfg = SweepConfig(
-            qubit_range=[3, 4], sampling=SamplingSpec(n_samples=3), opt_steps=2,
-            master_seed=int(master_seed), workers=workers,
+        records, errors = run_sweep(
+            SweepConfig(master_seed=int(master_seed), **grid), write_files=False
         )
-        records, errors = run_sweep(cfg, write_files=False)
         assert not errors
         text = records_csv_text(records)
         assert text.splitlines()[1:] == expected["rows"], master_seed
         assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"], master_seed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tiny_sweep_bytes_match_bench_reference(workers):
+    # the tiny_sweep grid of bench/workloads.py
+    assert_bench_reference_bytes(
+        "tiny_sweep", qubit_range=[3, 4], sampling=SamplingSpec(n_samples=3), opt_steps=2,
+        workers=workers,
+    )
+
+
+def test_default_sweep_bytes_match_bench_reference_at_every_master_seed():
+    # the default grid, as sweep_default runs it, at all 8 pinned master seeds
+    assert_bench_reference_bytes("sweep_default", workers=2)
 
 
 def test_json_payload_contents(tmp_path):
@@ -571,6 +583,7 @@ def test_json_payload_contents(tmp_path):
     # one frame per draw (10) and per descent step (3); the stages tile the
     # cell's time
     assert rec["frames"] == 10 + 3 and len(rec["loss_trajectory"]) == 3 + 1
+    assert rec["descent_cycle"] is None
     assert set(rec["stage_s"]) == {"truncate", "variance", "descent"}
     assert rec["stage_s"]["truncate"] >= 0.0
     assert rec["stage_s"]["variance"] > 0.0 and rec["stage_s"]["descent"] > 0.0
@@ -600,8 +613,10 @@ def test_closure_seconds_and_cell_log_lines(caplog):
     for rec in records:
         fields = logged[(rec.n, rec.method)]
         assert int(fields["frames"]) == rec.frames
-        assert set(fields) == {"n", "method", "frames", "closure_s", "truncate_s",
-                               "variance_s", "descent_s", "wall_s"}
+        cycle = rec.descent_cycle
+        assert fields["descent_cycle"] == (f"{cycle[0]},{cycle[1]}" if cycle else "none")
+        assert set(fields) == {"n", "method", "frames", "descent_cycle", "closure_s",
+                               "truncate_s", "variance_s", "descent_s", "wall_s"}
         assert float(fields["closure_s"]) == pytest.approx(rec.closure_s, abs=1e-6)
         assert float(fields["wall_s"]) == pytest.approx(rec.wall_time, abs=1e-6)
         for stage, secs in rec.stage_s.items():

@@ -289,7 +289,7 @@ def test_descent_trajectory_shape_and_progress():
     c = build_ansatz("full_hea", 2, 1)
     loss = LossSpec(kind="vqe_tfim")
     theta0 = rng_from(1, "opt").uniform(0, 2 * np.pi, c.num_params)
-    theta, traj = gradient_descent(c, loss, theta0, 20, 0.1)
+    theta, traj, _ = gradient_descent(c, loss, theta0, 20, 0.1)
     assert traj.shape == (21,)
     assert traj[-1] < traj[0]
     assert theta.shape == theta0.shape
@@ -298,6 +298,126 @@ def test_descent_trajectory_shape_and_progress():
 def test_descent_zero_steps():
     c = one_x_circuit()
     theta0 = np.array([0.3])
-    _, traj = gradient_descent(c, LossSpec(), theta0, 0, 0.1)
+    _, traj, _ = gradient_descent(c, LossSpec(), theta0, 0, 0.1)
     assert traj.shape == (1,)
     assert traj[0] == pytest.approx(np.cos(0.6))
+
+
+def plain_descent(circuit, loss, theta0, steps, rate):
+    """The oracle: one frame per step, every step, no repeat detection."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    losses = np.empty(steps + 1)
+    for k in range(steps):
+        losses[k], grad = loss_and_gradient(circuit, theta, loss)
+        theta = theta - rate * grad
+    state = circuit.evolve(theta)
+    losses[steps] = np.real(state.conj() @ (loss.observable_dense(circuit.n_qubits) @ state))
+    return theta, losses
+
+
+def assert_plain_descent_bytes(circuit, loss, theta0, steps, rate, got=None):
+    """``got`` (or a fresh ``gradient_descent``) has the oracle's theta and
+    trajectory bit for bit; returns its cycle."""
+    theta, losses, cycle = got or gradient_descent(circuit, loss, theta0, steps, rate)
+    want_theta, want_losses = plain_descent(circuit, loss, theta0, steps, rate)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert losses.tobytes() == want_losses.tobytes()
+    return cycle
+
+
+def counting_steps(monkeypatch) -> list:
+    """Patch the descent's step to list the bytes of each theta it evaluates."""
+    real_step = trainability_mod._observable_loss_and_gradient
+    thetas = []
+
+    def counting(circuit, theta, obs):
+        thetas.append(theta.tobytes())
+        return real_step(circuit, theta, obs)
+
+    monkeypatch.setattr(trainability_mod, "_observable_loss_and_gradient", counting)
+    return thetas
+
+
+def test_default_grid_descents_match_the_plain_loop_bytes(monkeypatch):
+    # every descent of the default sweeps of master seeds 14-16, against the
+    # oracle; a record's frames count the frames evaluated, and the cells
+    # cover a fixed point, periods 2 and 3 and a descent that never repeats
+    import liepqc.sweep as sweep_mod
+
+    evaluated = counting_steps(monkeypatch)
+    descents = []
+
+    def recording(circuit, loss, theta0, steps, rate):
+        before = len(evaluated)
+        got = gradient_descent(circuit, loss, theta0, steps, rate)
+        descents.append(((circuit, loss, theta0, steps, rate), got, len(evaluated) - before))
+        return got
+
+    monkeypatch.setattr(sweep_mod, "gradient_descent", recording)
+    periods = set()
+    for master_seed in (14, 15, 16):
+        descents.clear()
+        config = sweep_mod.SweepConfig(master_seed=master_seed, workers=1)
+        records, errors = sweep_mod.run_sweep(config, write_files=False)
+        assert not errors and len(descents) == len(records) == 15
+        # descents run largest n first; records are sorted by n, methods in order
+        descents.sort(key=lambda d: d[0][0].n_qubits)
+        for record, (args, got, frames) in zip(records, descents):
+            cycle = assert_plain_descent_bytes(*args, got=got)
+            assert frames == (sum(cycle) if cycle else config.opt_steps)
+            assert record.frames == config.sampling.n_samples + frames
+            assert record.descent_cycle == (list(cycle) if cycle else None)
+            assert record.loss_trajectory == got[1].tolist()
+            periods.add(cycle and cycle[1])
+        if master_seed == 14:
+            assert sum(frames for _, _, frames in descents) == 834    # of 1500
+    assert {None, 1, 2, 3} <= periods
+
+
+def test_a_zero_gradient_descent_evaluates_one_frame(monkeypatch):
+    # a Z rotation leaves |0> and <Z> alone: theta_1 is theta_0
+    c = CircuitSpec(1, [slot(1, "Z")])
+    theta0 = np.array([0.3])
+    evaluated = counting_steps(monkeypatch)
+    got = gradient_descent(c, LossSpec(), theta0, 100, 0.1)
+    assert evaluated == [theta0.tobytes()]
+    assert assert_plain_descent_bytes(c, LossSpec(), theta0, 100, 0.1, got=got) == (0, 1)
+
+
+def test_descent_tells_minus_zero_from_zero(monkeypatch):
+    # -0.0 - 0.1 * -0.0 is +0.0, equal in value but not in bits, so step 1
+    # revisits nothing; step 2 repeats step 1
+    def step(circuit, theta, obs):
+        return float(np.copysign(1.0, theta[0])), np.array([-0.0])
+
+    monkeypatch.setattr(trainability_mod, "_observable_loss_and_gradient", step)
+    c, theta0 = one_x_circuit(), np.array([-0.0])
+    theta, losses, cycle = gradient_descent(c, LossSpec(), theta0, 5, 0.1)
+    assert cycle == (1, 1)
+    assert theta.tobytes() == np.array([0.0]).tobytes()
+    assert losses[:5].tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0]
+    assert_plain_descent_bytes(c, LossSpec(), theta0, 5, 0.1)
+
+
+@st.composite
+def _descents(draw):
+    n = draw(st.integers(1, 2))
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    words = draw(st.lists(word, min_size=1, max_size=4))
+    # zeros of either sign and stationary angles as well as any angle
+    angle = st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi / 2, np.pi]), st.floats(-2 * np.pi, 2 * np.pi)
+    )
+    theta0 = np.array([draw(angle) for _ in words])
+    loss = draw(st.sampled_from([LossSpec(), LossSpec(kind="vqe_tfim", tfim_params=(1.0, 0.5))]))
+    steps = draw(st.integers(0, 40))
+    rate = draw(st.sampled_from([0.05, 0.1, 0.5, 1.0]))
+    return CircuitSpec(n, [slot(n, w) for w in words]), loss, theta0, steps, rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(_descents())
+def test_descent_bytes_match_the_plain_loop_property(case):
+    cycle = assert_plain_descent_bytes(*case)
+    steps = case[3]
+    assert cycle is None or (cycle[1] >= 1 and sum(cycle) < steps)

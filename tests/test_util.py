@@ -2,7 +2,9 @@
 
 import multiprocessing
 import os
+import signal
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -131,3 +133,16 @@ def test_a_new_worker_count_closes_the_pool_before_forking(monkeypatch, forked_p
         assert run_tasks(abs, [-1, -2, -3], workers) == [1, 2, 3]
     assert [max_workers for max_workers, _ in forked_pool] == [2, 3, 2]
     assert alive == [(0, threads)] * 3
+
+
+def test_a_pool_that_broke_while_idle_is_replaced_before_the_tasks_run(forked_pool):
+    # a pool process killed between calls (by the OOM killer, say) costs no call
+    assert run_tasks(abs, [-1, -2], 2) == [1, 2]
+    pool = util_mod._pool[1]
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken:
+        assert time.monotonic() < deadline, "the pool did not notice its dead process"
+        time.sleep(0.01)
+    assert run_tasks(abs, [-3], 2) == [3]
+    assert forked_pool == [(2, util_mod._one_blas_thread)] * 2
