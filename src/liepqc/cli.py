@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-log = logging.getLogger("liepqc")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("LIEPQC_LOG", "warning").upper()
@@ -70,7 +68,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     try:
         overrides = {}
-        if args.out:
+        if args.out is not None:
             overrides["out_dir"] = args.out
         if args.qubits:
             overrides["qubit_range"] = [int(x) for x in args.qubits.split(",")]
@@ -89,7 +87,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
             config = config_from_dict({**config.to_json(), **overrides})
     except ValueError as exc:  # a ConfigError, or a --qubits entry that is not an int
-        log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -174,8 +171,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if config is None:
         return 2
-    if args.out:
-        try:  # an unusable report path fails before any check runs
+    if args.out is not None:
+        try:  # an unusable report path, the empty one too, fails before any check runs
             open(args.out, "a").close()
         except OSError as exc:
             return _flag_error("--out", args.out, exc)
@@ -185,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for chk in report["checks"]:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {chk['label']} ({chk['seconds']:.2f}s): {chk['detail']}")
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.out}")
     return 0 if report["passed"] else 1
@@ -210,8 +207,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"input error: {reading}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or path.parent
+    out_dir = path.parent if args.out is None else args.out
     try:  # an unusable output path fails before any figure is drawn
+        if not out_dir:  # Path("") would be the current directory
+            raise FileNotFoundError("an empty path names no directory")
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _flag_error("--out", out_dir, exc)
@@ -236,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="metric/variance sample count")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--workers", type=int,
-                   help="processes; 0 = one per qubit count, up to the usable CPUs")
+                   help="processes, 1 inside a multiprocessing child; "
+                        "0 = one per qubit count, up to the usable CPUs")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("closure", help="Lie closure of a circuit's generators")

@@ -73,12 +73,16 @@ def line_chart(
     logy: bool = False,
     annotations: list[str] | None = None,
 ) -> str:
-    """Assemble one SVG line chart; series = [(label, xs, ys), ...]."""
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if not logy or y > 0:
-                pts.append((x, y))
+    """Assemble one SVG line chart; series = [(label, xs, ys), ...].
+
+    Only finite points are drawn, and on a log axis only those with y > 0:
+    a NaN loss after an overflowing descent, say, is left out.
+    """
+
+    def drawn(x: float, y: float) -> bool:
+        return math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
+
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if drawn(x, y)]
     if not pts:
         pts = [(0.0, 1.0), (1.0, 1.0)]
     xs_all = [p[0] for p in pts]
@@ -164,9 +168,7 @@ def line_chart(
 
     for i, (label, xs, ys) in enumerate(series):
         color = _color_for(label, i)
-        coords = [
-            (px(x), py(y)) for x, y in zip(xs, ys) if not logy or y > 0
-        ]
+        coords = [(px(x), py(y)) for x, y in zip(xs, ys) if drawn(x, y)]
         if len(coords) > 1:
             path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
             parts.append(

@@ -23,9 +23,7 @@ import hashlib
 import itertools
 import json
 import logging
-import multiprocessing
 import numbers
-import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -38,7 +36,7 @@ from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import _is_number, rng_from, run_tasks
+from .util import _is_number, rng_from, run_tasks, worker_count
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -73,7 +71,9 @@ class SweepConfig:
     opt_rate: float = 0.1
     master_seed: int = DEFAULT_MASTER_SEED
     out_dir: str = "results"
-    workers: int = 0                 # 0 = automatic: one per qubit count, up to the CPUs
+    # processes: as given, but 1 in a process that multiprocessing started;
+    # 0 = automatic: one per qubit count, up to the usable CPUs
+    workers: int = 0
 
     def __post_init__(self):
         if not self.qubit_range:
@@ -126,8 +126,8 @@ class SweepConfig:
             raise ConfigError(f"sampling.sigma must be a finite number, not {sigma!r}")
         if self.sampling.n_samples < 2:
             raise ConfigError("sampling.n_samples must be >= 2 (each cell estimates a variance)")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a path string, not {self.out_dir!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a non-empty path string, not {self.out_dir!r}")
 
     def to_json(self) -> dict:
         """The fields in declaration order, the lists copied."""
@@ -378,25 +378,6 @@ def _log_cell(record: SweepRecord) -> None:
 _sweep_keys = itertools.count()
 
 
-def _resolve_workers(config: SweepConfig) -> int:
-    """Processes a sweep of ``config`` runs on.
-
-    An explicit ``workers`` is used as given.  The automatic 0 gives one
-    process per qubit count, up to the CPUs this process may run on;
-    inside a process that a multiprocessing pool started it gives 1, so a
-    sweep in a pool child never starts a pool of its own.
-    """
-    if config.workers:
-        return config.workers
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(len(config.qubit_range), cpus)
-
-
 def run_sweep(
     config: SweepConfig, write_files: bool = True
 ) -> tuple[list[SweepRecord], list[dict]]:
@@ -404,9 +385,13 @@ def run_sweep(
 
     One task per cell, the largest, slowest qubit count's cells first, in
     method order, so that count does not start last.  ``util.run_tasks``
-    runs them on the :func:`_resolve_workers` processes: here in that order
-    for one worker, on its reused pool otherwise, where workers beyond the
-    number of cells idle.  Outcomes are sorted afterwards.
+    runs them on ``util.worker_count(config.workers, len(config.qubit_range))``
+    processes: an explicit ``workers`` as given, the automatic 0 one per
+    qubit count up to the usable CPUs, and 1 in a process that
+    multiprocessing started.  One process runs the tasks here in that
+    order, more run them on ``run_tasks``'s reused pool, where workers
+    beyond the number of cells idle; ``records.json`` gives that count as
+    ``workers``.  Outcomes are sorted afterwards.
     When it writes files, ``out_dir`` is created before the first cell, and
     a path that cannot be a directory is a :class:`ConfigError`.
     """
@@ -415,7 +400,7 @@ def run_sweep(
             Path(config.out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out_dir {config.out_dir}: {type(exc).__name__}: {exc}") from exc
-    workers = _resolve_workers(config)
+    workers = worker_count(config.workers, len(config.qubit_range))
     sweep = next(_sweep_keys)
     tasks = [
         (config, n, method, sweep)
@@ -451,8 +436,8 @@ def records_csv_text(records: list[SweepRecord]) -> str:
 def write_outputs(
     config: SweepConfig, records: list[SweepRecord], errors: list[dict], workers: int
 ) -> None:
-    """The sweep's files; ``records.json`` gives ``workers``, the resolved
-    process count, beside the config."""
+    """The sweep's files; ``records.json`` gives ``workers``, the processes
+    the cells ran on, beside the config."""
     out = Path(config.out_dir)
     (out / "records.csv").write_text(records_csv_text(records))
     payload = {

@@ -1,6 +1,7 @@
 """Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
-the number check of config values, and the one process runner, whose
-pool is kept and reused for the life of the process.
+the number check of config values, the one rule for how many processes run
+a task list, and the one process runner, whose pool is kept and reused for
+the life of the process.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -15,6 +16,7 @@ import hashlib
 import math
 import multiprocessing
 import numbers
+import os
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
@@ -122,13 +124,35 @@ def _is_number(value, kind=numbers.Real) -> bool:
 _pool: tuple[int, ProcessPoolExecutor] | None = None
 
 
-def run_tasks(fn, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, here or on a pool of ``workers`` processes.
+def worker_count(workers: int, at_most: int) -> int:
+    """The processes a task list runs on: the one rule for that count.
 
-    With one worker the tasks run in this process, in order.  With more a
-    process pool, its workers running BLAS on one thread, is handed the
-    tasks in order; a failed task raises here, the first in task order.
-    ``fn`` and the tasks must pickle.
+    In a process that multiprocessing started, a pool's process say, it is
+    1 whatever ``workers`` is: such a process would inherit its parent's
+    pool as a copy that reaches the parent's queues, and a pool kept there
+    would keep it from exiting, since multiprocessing joins a process's
+    children before ``concurrent.futures`` shuts its pools down.  Elsewhere
+    a nonzero ``workers`` is used as given, and the automatic 0 gives
+    ``at_most``, capped at the CPUs this process may run on (its affinity
+    mask, else the CPU count, else 1).
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if workers:
+        return workers
+    affinity = getattr(os, "sched_getaffinity", None)   # missing on some platforms
+    return min(at_most, len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+def run_tasks(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, here or on a pool of processes.
+
+    The tasks run on ``worker_count(workers, len(tasks))`` processes
+    (:func:`worker_count`; 0 asks for one per task, up to the CPUs).  With
+    one they run in this process, in order, as they always do in a process
+    that multiprocessing started.  With more a process pool, its workers
+    running BLAS on one thread, is handed the tasks in order; a failed task
+    raises here, the first in task order.  ``fn`` and the tasks must pickle.
 
     The pool stays up for later calls with the same worker count, so its
     processes are forked once, at the first pooled call: they do not see
@@ -140,15 +164,10 @@ def run_tasks(fn, tasks: list, workers: int) -> list:
     else raises out of a pooled call, a task's error or a broken pool,
     closes the pool first, so the next call starts on a fresh one; a death
     the pool has not yet noticed therefore still raises, once.
-
-    In a process that multiprocessing started, a pool's process say, the
-    tasks run here whatever ``workers`` is: it would inherit its parent's pool
-    as a copy that reaches the parent's queues, and a pool kept there would
-    keep it from exiting, since multiprocessing joins a process's children
-    before ``concurrent.futures`` shuts its pools down.
     """
     global _pool
-    if workers <= 1 or multiprocessing.parent_process() is not None:
+    workers = worker_count(workers, len(tasks))
+    if workers <= 1:
         return [fn(task) for task in tasks]
     if _pool is None or _pool[0] != workers:
         _open_pool(workers)

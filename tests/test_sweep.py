@@ -19,7 +19,7 @@ from liepqc.circuits import build_ansatz
 from liepqc.cli import main as cli_main
 from liepqc.geometry import SamplingSpec
 from liepqc.lie import lie_closure
-from liepqc.plots import _nice_ticks, emit_plots, line_chart
+from liepqc.plots import METHOD_FIGURES, _nice_ticks, emit_plots, line_chart
 from liepqc.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -285,6 +285,7 @@ def serial_pool(monkeypatch):
 
 def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
     # one pool of 2 for workers=2, none for workers=1; only util starts pools
+    # and binds multiprocessing
     import liepqc
     import liepqc.verify  # noqa: F401  (loaded, so its names are checked too)
 
@@ -296,7 +297,8 @@ def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
         assert serial_pool == pools
     for name, module in vars(liepqc).items():
         if name != "util" and hasattr(module, "__file__"):
-            assert not {"ProcessPoolExecutor", "_one_blas_thread"} & set(vars(module)), name
+            assert not {"ProcessPoolExecutor", "_one_blas_thread", "multiprocessing",
+                        "concurrent"} & set(vars(module)), name
 
 
 @pytest.mark.parametrize("cpus, qubit_range, workers, pool", [
@@ -308,7 +310,8 @@ def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
     (4, [2, 3], 1, []),
 ])
 def test_workers_resolution(serial_pool, monkeypatch, cpus, qubit_range, workers, pool):
-    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert util_mod.worker_count(workers, len(qubit_range)) == max(pool, default=1)
     cfg = small_config(qubit_range=qubit_range, workers=workers)
     records, errors = run_sweep(cfg, write_files=False)
     assert len(records) == len(qubit_range) and not errors
@@ -353,11 +356,13 @@ def test_pooled_base_failure_is_recorded_per_method(serial_pool, monkeypatch):
 
 
 def test_automatic_workers_without_an_affinity_call(serial_pool, monkeypatch):
-    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-    run_sweep(small_config(qubit_range=[2, 3]), write_files=False)
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: None)   # unknown: one
-    run_sweep(small_config(qubit_range=[2, 3]), write_files=False)
+    monkeypatch.delattr(util_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(util_mod.os, "cpu_count", lambda: 3)
+    assert util_mod.worker_count(0, 2) == 2
+    assert util_mod.run_tasks(abs, [-1, -2], 0) == [1, 2]
+    monkeypatch.setattr(util_mod.os, "cpu_count", lambda: None)   # unknown: one
+    assert util_mod.worker_count(0, 2) == 1
+    assert util_mod.run_tasks(abs, [-1, -2], 0) == [1, 2]
     assert [max_workers for max_workers, _ in serial_pool] == [2]
 
 
@@ -439,18 +444,40 @@ def test_pooled_sweeps_exit_cleanly():
 
 
 def test_automatic_workers_is_one_in_a_pool_child(monkeypatch):
-    # a pool child, daemonic or not, never starts a pool of its own
+    # a pool child, daemonic or not, never starts a pool of its own, whether
+    # the count is automatic or explicit
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cfg = SweepConfig(qubit_range=[2, 3])
-    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert sweep_mod._resolve_workers(cfg) == 2
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert util_mod.worker_count(0, 2) == 2 and util_mod.worker_count(3, 2) == 3
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        assert pool.submit(sweep_mod._resolve_workers, cfg).result(timeout=60) == 1
+        for workers in (0, 3):
+            assert pool.submit(util_mod.worker_count, workers, 2).result(timeout=60) == 1
     with fork.Pool(1) as pool:   # daemonic children
-        assert pool.apply_async(sweep_mod._resolve_workers, (cfg,)).get(timeout=60) == 1
+        for workers in (0, 3):
+            assert pool.apply_async(util_mod.worker_count, (workers, 2)).get(timeout=60) == 1
+
+
+def test_a_pooled_sweep_in_a_pool_child_runs_there_and_says_so(tmp_path, monkeypatch):
+    # records.json gives the processes the cells really ran on: one, since a
+    # pool child starts no pool, whatever workers asks for
+    import functools
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool child started a pool of {workers}")
+
+    monkeypatch.setattr(util_mod, "_open_pool", no_pool)   # inherited by the fork
+    cfg = small_config(qubit_range=[2, 3], workers=2, out_dir=str(tmp_path))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        records, errors = pool.submit(functools.partial(run_sweep, cfg)).result(timeout=120)
+    assert len(records) == 2 and not errors
+    payload = json.loads((tmp_path / "records.json").read_text())
+    assert payload["config"]["workers"] == 2 and payload["workers"] == 1
 
 
 def test_cell_isolation(monkeypatch):
@@ -732,6 +759,36 @@ def test_line_chart_log_scale_skips_nonpositive():
     assert svg.count("<circle") == 2
 
 
+@pytest.mark.parametrize("logy", [False, True])
+def test_line_chart_skips_nonfinite(logy):
+    nan, inf = float("nan"), float("inf")
+    svg = line_chart([("s", [1, 2, 3, 4], [nan, 1.0, inf, 10.0])], "t", "x", "y", logy=logy)
+    assert svg.count("<circle") == 2
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_descent_still_draws_every_figure(tmp_path):
+    # every descent overflows theta, so every final loss is NaN; the loss
+    # figure leaves those points out and the sweep and plot commands succeed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "qubit_range": [2, 3], "opt_steps": 5, "opt_rate": 1e308,
+        "sampling": {"n_samples": 3}, "workers": 1, "out_dir": str(tmp_path / "run"),
+    }))
+    assert cli_main(["sweep", "--config", str(config)]) == 0
+    run = tmp_path / "run"
+    rows = (run / "records.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(np.isnan(SweepRecord.from_csv_row(row).loss_final) for row in rows)
+    figures = sorted([name for name, *_ in METHOD_FIGURES] + ["metric_spectra.svg"])
+    assert sorted(p.name for p in run.glob("*.svg")) == figures
+    assert cli_main(["plot", "--records", str(run / "records.csv"),
+                     "--out", str(tmp_path / "figs")]) == 0
+    assert sorted(p.name for p in (tmp_path / "figs").glob("*.svg")) == figures
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -882,6 +939,39 @@ def test_cli_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monk
     assert captured.err.startswith(error.format(out=out))
     assert captured.err.count("\n") == 1
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("case, error", [
+    ("config", "config error: {config}: ConfigError: out_dir must be a non-empty path string"),
+    ("sweep", "config error: out_dir must be a non-empty path string"),
+    ("verify", "input error: --out : FileNotFoundError: "),
+    ("plot", "input error: --out : FileNotFoundError: "),
+], ids=["config", "sweep", "verify", "plot"])
+def test_cli_empty_output_path_exits_2_and_writes_nothing(tmp_path, case, error):
+    # an empty path would name the current directory: a fresh process in an
+    # empty one prints one error line, exits 2 and writes nothing there
+    small = {"qubit_range": [2], "methods": ["full"], "sampling": {"n_samples": 2},
+             "opt_steps": 0, "workers": 1, "out_dir": str(tmp_path / "run")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**small, "out_dir": ""} if case == "config" else small))
+    run_sweep(config_from_dict(small))
+    argv = {
+        "config": ["sweep", "--config", str(config)],
+        "sweep": ["sweep", "--config", str(config), "--out", ""],
+        "verify": ["verify", "--config", str(config), "--out", ""],
+        "plot": ["plot", "--records", str(tmp_path / "run" / "records.csv"), "--out", ""],
+    }[case]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    src = Path(sweep_mod.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "liepqc.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(error.format(config=config))
+    assert proc.stderr.count("\n") == 1
+    assert list(cwd.iterdir()) == []
 
 
 def test_cli_closure_metric_truncate(tmp_path):
