@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+from .util import json_text
+
 
 def _setup_logging() -> None:
     level = os.environ.get("LIEPQC_LOG", "warning").upper()
@@ -114,7 +116,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         basis = lie_closure(circuit.skew_generators(), max_dim=args.max_dim)
     except ValueError as exc:
         return _flag_error("--max-dim", args.max_dim, exc)
-    print(json.dumps(basis.to_json(), indent=2))
+    print(json_text(basis.to_json()))
     return 0
 
 
@@ -129,7 +131,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _flag_error("--samples", args.samples, exc)
     rep = empirical_metric(circuit, sampling)
-    print(json.dumps(rep.to_json(), indent=2))
+    print(json_text(rep.to_json()))
     return 0
 
 
@@ -161,7 +163,7 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
         "report": report.to_json(),
         "model": circuit_to_json(model),
     }
-    print(json.dumps(out, indent=2))
+    print(json_text(out))
     return 0
 
 
@@ -183,7 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {chk['label']} ({chk['seconds']:.2f}s): {chk['detail']}")
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(json_text(report) + "\n")
         print(f"report written to {args.out}")
     return 0 if report["passed"] else 1
 

@@ -92,17 +92,17 @@ def frame_metric(frame) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def draw_frames(circuit, sampling: SamplingSpec, indices):
-    """(draw indices, stacked tangent frame) for ``indices``, a stack at a time.
+def draw_frames(circuit, sampling: SamplingSpec):
+    """(draw indices, stacked tangent frame) for each of ``sampling``'s
+    draws, a stack at a time.
 
     Draw s is ``sampling.draw(num_params, s)`` from its own stream; a stack
     holds at most ``stack_size(circuit.dim)`` of them.
     """
-    indices = list(indices)
     size = stack_size(circuit.dim)
     num = circuit.num_params
-    for start in range(0, len(indices), size):
-        chunk = indices[start:start + size]
+    for start in range(0, sampling.n_samples, size):
+        chunk = range(start, min(start + size, sampling.n_samples))
         thetas = np.stack([sampling.draw(num, s) for s in chunk])
         yield chunk, circuit.tangent_frame(thetas)
 
@@ -111,7 +111,7 @@ def empirical_metric(circuit, sampling: SamplingSpec) -> MetricReport:
     """Average of the pointwise metric over seeded parameter draws."""
     num = circuit.num_params
     metrics = np.empty((sampling.n_samples, num, num))
-    for chunk, frames in draw_frames(circuit, sampling, range(sampling.n_samples)):
+    for chunk, frames in draw_frames(circuit, sampling):
         metrics[chunk] = frame_metric(frames)
     g_hat = pairwise_mean(metrics)
     return metric_report(g_hat, sampling)

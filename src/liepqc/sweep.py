@@ -3,10 +3,10 @@
 One sweep cell is a (qubit count, method) pair, and each cell is one task.
 A sweep hands its tasks out largest qubit count first, in method order, to
 ``util.run_tasks``, which runs them on one process or on a pool that it
-keeps for later sweeps.  Consecutive cells of one qubit count in one sweep
-on one process share the ``full_hea`` base circuit and the Lie closure of
-its generators (:func:`_base_and_closure`); a sweep never reuses another
-sweep's, even on a reused pool process.  Every cell derives its own RNG
+keeps for later sweeps.  Consecutive cells of one (qubit count, depth) on
+one process share the ``full_hea`` base circuit and the Lie closure of its
+generators (:func:`_base_and_closure`), whether the cells belong to one
+sweep or to consecutive sweeps.  Every cell derives its own RNG
 stream from (master_seed, n, method), so results are independent of
 execution order and worker count; record rows are sorted before writing
 and floats are serialized with repr, which makes the CSV byte-reproducible.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import numbers
@@ -36,7 +35,7 @@ from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import _is_number, rng_from, run_tasks, worker_count
+from .util import _is_number, json_text, rng_from, run_tasks, worker_count
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -224,7 +223,7 @@ class SweepRecord:
         return cls(**{name: kind(cell) for (name, kind), cell in zip(_CSV_FIELDS.items(), cells)})
 
     def to_json(self) -> dict:
-        """The fields by name, not copied: ``json.dumps`` only reads them."""
+        """The fields by name, not copied: ``util.json_text`` only reads them."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -324,15 +323,15 @@ def _failure(exc: Exception) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _base_and_closure(n: int, depth: int, sweep: int) -> tuple[CircuitSpec, LieBasis, float]:
+def _base_and_closure(n: int, depth: int) -> tuple[CircuitSpec, LieBasis, float]:
     """The ``full_hea`` base circuit, the Lie closure of its generators and
     the seconds both took.
 
-    The one-entry memo lets consecutive cells of one qubit count in one
-    sweep share them.  ``sweep`` is the sweep's own key, so a pool process
-    that a later sweep reuses builds them again; :func:`run_sweep` also
-    clears the memo here when a sweep starts and when it ends.  A failed
-    build is not kept, so each cell of that count records the failure.
+    They depend on (n, depth) alone.  The one-entry memo keeps those of the
+    last (n, depth) this process built, so consecutive cells that ask for
+    the same pair share them, in one sweep or across sweeps, and report the
+    seconds of the one build.  A failed build is not kept, so each cell of
+    that count records the failure.
     """
     start = time.perf_counter()
     base = build_ansatz("full_hea", n, depth)
@@ -341,13 +340,12 @@ def _base_and_closure(n: int, depth: int, sweep: int) -> tuple[CircuitSpec, LieB
 
 
 def _cell_task(
-    args: tuple[SweepConfig, int, str, int]
+    args: tuple[SweepConfig, int, str]
 ) -> tuple[int, str, SweepRecord | None, dict | None]:
-    """One (n, method) cell of the sweep keyed ``sweep``, as (n, method,
-    record, failure)."""
-    config, n, method, sweep = args
+    """One (n, method) cell, as (n, method, record, failure)."""
+    config, n, method = args
     try:
-        base, closure, closure_s = _base_and_closure(n, config.depth, sweep)
+        base, closure, closure_s = _base_and_closure(n, config.depth)
         record = run_cell(config, n, method, base, closure)
     except Exception as exc:  # cell isolation: report, do not abort the sweep
         return n, method, None, _failure(exc)
@@ -374,10 +372,6 @@ def _log_cell(record: SweepRecord) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Each sweep's key for :func:`_base_and_closure`, unique in this process.
-_sweep_keys = itertools.count()
-
-
 def run_sweep(
     config: SweepConfig, write_files: bool = True
 ) -> tuple[list[SweepRecord], list[dict]]:
@@ -391,7 +385,9 @@ def run_sweep(
     multiprocessing started.  One process runs the tasks here in that
     order, more run them on ``run_tasks``'s reused pool, where workers
     beyond the number of cells idle; ``records.json`` gives that count as
-    ``workers``.  Outcomes are sorted afterwards.
+    ``workers``.  A cell reuses the base and closure its process built last
+    when they are of its (n, depth), in this sweep or an earlier one
+    (:func:`_base_and_closure`).  Outcomes are sorted afterwards.
     When it writes files, ``out_dir`` is created before the first cell, and
     a path that cannot be a directory is a :class:`ConfigError`.
     """
@@ -401,17 +397,12 @@ def run_sweep(
         except OSError as exc:
             raise ConfigError(f"out_dir {config.out_dir}: {type(exc).__name__}: {exc}") from exc
     workers = worker_count(config.workers, len(config.qubit_range))
-    sweep = next(_sweep_keys)
     tasks = [
-        (config, n, method, sweep)
+        (config, n, method)
         for n in sorted(config.qubit_range, reverse=True)
         for method in config.methods
     ]
-    _base_and_closure.cache_clear()
-    try:
-        outcomes = run_tasks(_cell_task, tasks, workers)
-    finally:
-        _base_and_closure.cache_clear()
+    outcomes = run_tasks(_cell_task, tasks, workers)
 
     method_order = {m: i for i, m in enumerate(config.methods)}
     outcomes.sort(key=lambda o: (o[0], method_order[o[1]]))
@@ -446,7 +437,7 @@ def write_outputs(
         "records": [r.to_json() for r in records],
         "errors": errors,
     }
-    (out / "records.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "records.json").write_text(json_text(payload) + "\n")
     spectra = {(r.method, r.n): np.array(r.eigenvalues) for r in records}
     for (method, n), eigenvalues in spectra.items():
         write_spectrum_csv(spectrum_path(out, method, n), eigenvalues)

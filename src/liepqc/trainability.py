@@ -199,7 +199,7 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
     obs = loss.observable_dense(circuit.n_qubits)
     grads = np.empty((sampling.n_samples, num))
     metrics = np.empty((sampling.n_samples, num, num))
-    for chunk, frames in draw_frames(circuit, sampling, range(sampling.n_samples)):
+    for chunk, frames in draw_frames(circuit, sampling):
         metrics[chunk] = frame_metric(frames)
         grads[chunk] = _frame_gradient(frames, matvec(obs, frames.state))
     metric = metric_report(pairwise_mean(metrics), sampling)
@@ -299,6 +299,10 @@ def gradient_descent(
     period, or None if no theta repeats before the last step, so the
     descent evaluates ``sum(cycle)`` frames, or ``steps``.  The final loss
     is taken from ``circuit.evolve`` either way.
+
+    A descent that diverges raises: the first overflow or invalid value in
+    step k, its loss, gradient or update (the final loss is step
+    ``steps``), is a ``FloatingPointError`` that names step k.
     """
     obs = loss.observable_dense(circuit.n_qubits)
     theta = np.asarray(theta0, dtype=float).copy()
@@ -306,16 +310,22 @@ def gradient_descent(
     thetas: list[np.ndarray] = []
     first_step: dict[bytes, int] = {}
     cycle = None
-    for k in range(steps):
-        j = first_step.setdefault(theta.tobytes(), k)
-        if j < k:
-            cycle = j, k - j
-            losses[k:steps] = losses[j + (np.arange(k, steps) - j) % (k - j)]
-            theta = thetas[j + (steps - j) % (k - j)]
-            break
-        thetas.append(theta)
-        value, grad = _observable_loss_and_gradient(circuit, theta, obs)
-        losses[k] = value
-        theta = theta - rate * grad
-    losses[steps] = _expectation(circuit.evolve(theta), obs)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(steps):
+                j = first_step.setdefault(theta.tobytes(), k)
+                if j < k:
+                    cycle = j, k - j
+                    losses[k:steps] = losses[j + (np.arange(k, steps) - j) % (k - j)]
+                    theta = thetas[j + (steps - j) % (k - j)]
+                    break
+                thetas.append(theta)
+                value, grad = _observable_loss_and_gradient(circuit, theta, obs)
+                losses[k] = value
+                theta = theta - rate * grad
+            else:
+                k = steps
+            losses[steps] = _expectation(circuit.evolve(theta), obs)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"descent step {k} of {steps} diverged: {exc}") from exc
     return theta, losses, cycle

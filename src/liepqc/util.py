@@ -1,7 +1,7 @@
-"""Shared plumbing: deterministic seeding, reductions, complex JSON encoding,
-the number check of config values, the one rule for how many processes run
-a task list, and the one process runner, whose pool is kept and reused for
-the life of the process.
+"""Shared plumbing: deterministic seeding, reductions, complex and strict
+JSON encoding, the number check of config values, the one rule for how many
+processes run a task list, and the one process runner, whose pool is kept
+and reused for the life of the process.
 
 All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import math
 import multiprocessing
 import numbers
@@ -77,7 +78,7 @@ def pairwise_mean(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Complex <-> JSON: every complex entry becomes a [re, im] pair
+# JSON: every complex entry becomes a [re, im] pair, every non-finite float null
 # ---------------------------------------------------------------------------
 
 
@@ -98,6 +99,28 @@ def complex_from_json(data: list) -> np.ndarray:
     if arr.ndim == 3 and arr.shape[-1] == 2:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     raise ValueError("expected nested [re, im] pairs")
+
+
+def json_text(doc) -> str:
+    """``doc`` as strict JSON text, indented by 2: the one encoder of every
+    document the package writes.
+
+    A non-finite float, the ``kappa`` of a rank-0 metric say, is written as
+    ``null``, where ``json.dumps`` would write the non-JSON token
+    ``Infinity`` or ``NaN``.  Finite floats keep their exact text.
+    """
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Fixtures shared by the test modules: a pool that counts itself, and a
-guard that the session leaves no process running."""
+"""Fixtures shared by the test modules: a pool that counts itself, a guard
+that the session leaves no process running, and a fresh closure memo for
+each test."""
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import liepqc.sweep as sweep_mod
 import liepqc.util as util_mod
 
 
@@ -16,6 +18,14 @@ def no_processes_left():
     yield
     util_mod._close_pool()
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(autouse=True)
+def fresh_closure_memo():
+    """Each test starts with an empty ``sweep._base_and_closure`` memo in
+    this process, so a closure that an earlier test built is not reused
+    where a test patches ``lie_closure``."""
+    sweep_mod._base_and_closure.cache_clear()
 
 
 @pytest.fixture

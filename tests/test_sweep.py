@@ -4,10 +4,13 @@ import hashlib
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -379,10 +382,12 @@ def test_a_second_pooled_sweep_reuses_the_pool(tmp_path, forked_pool):
     assert texts[0] == texts[1]
 
 
-def test_a_reused_pool_process_rebuilds_each_closure(tmp_path, monkeypatch, forked_pool):
+def test_a_pool_process_builds_a_closure_only_when_its_qubit_count_changes(
+    tmp_path, monkeypatch, forked_pool
+):
     # patched before the pool forks, so its processes log each closure and
-    # each cell they run; in every sweep, each process builds each qubit
-    # count's closure once, before its first cell of that count
+    # each cell they run; a process builds the closure of n exactly when the
+    # cell it ran before, in this sweep or an earlier one, had another n
     log = tmp_path / "log"
     real_closure, real_cell = sweep_mod.lie_closure, sweep_mod.run_cell
 
@@ -398,20 +403,45 @@ def test_a_reused_pool_process_rebuilds_each_closure(tmp_path, monkeypatch, fork
 
     monkeypatch.setattr(sweep_mod, "lie_closure", logging_closure)
     monkeypatch.setattr(sweep_mod, "run_cell", logging_cell)
-    # the default grid, then one qubit count, whose closure a reused process
-    # would still hold from the sweep before
+    # the default grid twice, then one qubit count three times, whose
+    # closure a process builds at most once over those three sweeps
     one_count = small_config(qubit_range=[3], methods=list(sweep_mod.KNOWN_METHODS), workers=2)
+    last = {}                        # the n of each process's last cell, across sweeps
+    one_count_builds = Counter()     # per process, over the one-count sweeps
     for cfg in [SweepConfig(workers=2)] * 2 + [one_count] * 3:
         log.write_text("")
         records, errors = run_sweep(cfg, write_files=False)
         assert len(records) == len(cfg.qubit_range) * len(cfg.methods) and not errors
         lines = [tuple(line.split()) for line in log.read_text().splitlines()]
-        closures = [(pid, n) for kind, pid, n in lines if kind == "closure"]
-        cells = {(pid, n) for kind, pid, n in lines if kind == "cell"}
-        assert len(closures) == len(set(closures)) and set(closures) == cells
-        for i, (kind, pid, n) in enumerate(lines):
-            assert kind == "closure" or ("closure", pid, n) in lines[:i]
+        for pid in {pid for _, pid, _ in lines}:
+            own = [(kind, int(n)) for kind, p, n in lines if p == pid]
+            for i, (kind, n) in enumerate(own):
+                if kind == "closure":
+                    assert own[i + 1] == ("cell", n)
+                    one_count_builds[pid] += cfg is one_count
+                else:
+                    assert (i > 0 and own[i - 1] == ("closure", n)) == (last.get(pid) != n)
+                    last[pid] = n
+    assert max(one_count_builds.values(), default=0) <= 1
     assert forked_pool == [(2, util_mod._one_blas_thread)]
+
+
+def test_consecutive_serial_default_sweeps_build_five_closures_each(monkeypatch):
+    # the cells go largest n first, so each sweep starts on another qubit
+    # count than the one its process holds from the sweep before
+    built = []
+    real_closure = sweep_mod.lie_closure
+
+    def counting_closure(generators):
+        built.append(generators[0].n_qubits)
+        return real_closure(generators)
+
+    monkeypatch.setattr(sweep_mod, "lie_closure", counting_closure)
+    for _ in range(2):
+        built.clear()
+        records, errors = run_sweep(SweepConfig(workers=1), write_files=False)
+        assert len(records) == 15 and not errors
+        assert built == [6, 5, 4, 3, 2]
 
 
 def test_pooled_sweeps_exit_cleanly():
@@ -547,24 +577,6 @@ def test_cell_failure_before_any_method_is_recorded_per_method(monkeypatch):
         assert "in failing_closure" in err["traceback"]
 
 
-def test_sweep_clears_the_shared_closure_when_it_ends(monkeypatch):
-    # a second sweep of the same qubit count builds its own base and closure
-    cfg = small_config(methods=["full", "lie_trunc"], workers=1)
-    records, errors = run_sweep(cfg, write_files=False)
-    assert len(records) == 2 and not errors
-    assert sweep_mod._base_and_closure.cache_info().currsize == 0
-
-    def failing_closure(generators):
-        raise RuntimeError("no closure")
-
-    monkeypatch.setattr(sweep_mod, "lie_closure", failing_closure)
-    records, errors = run_sweep(cfg, write_files=False)
-    assert not records
-    assert [(e["n"], e["method"], e["error"]) for e in errors] == [
-        (2, "full", "RuntimeError: no closure"), (2, "lie_trunc", "RuntimeError: no closure"),
-    ]
-
-
 def assert_bench_reference_bytes(workload: str, **grid):
     """The sweep of ``grid`` writes the records.csv that bench/reference.json
     pins for ``workload`` at each of its 8 master seeds; the file is read,
@@ -617,6 +629,27 @@ def test_json_payload_contents(tmp_path):
     assert sum(rec["stage_s"].values()) == pytest.approx(rec["wall_time"], rel=1e-9, abs=1e-12)
     # building the circuit and its closure is timed apart from the stages
     assert rec["closure_s"] > 0.0
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("master_seed, rank_zero", [
+    (18, [(2, "random_trunc"), (5, "random_trunc")]),
+    (20, [(5, "random_trunc")]),
+    (21, [(2, "random_trunc"), (4, "random_trunc")]),
+])
+def test_records_json_is_strict_with_null_kappa_at_rank_zero(tmp_path, master_seed, rank_zero):
+    # the default grid at these master seeds collapses cells to rank 0, whose
+    # kappa is infinite: null in records.json, inf in records.csv
+    records, errors = run_sweep(SweepConfig(master_seed=master_seed, out_dir=str(tmp_path)))
+    assert not errors and [(r.n, r.method) for r in records if r.rank == 0] == rank_zero
+    payload = json.loads((tmp_path / "records.json").read_text(), parse_constant=_no_constant)
+    assert [(r["n"], r["method"]) for r in payload["records"] if r["kappa"] is None] == rank_zero
+    rows = [SweepRecord.from_csv_row(row)
+            for row in (tmp_path / "records.csv").read_text().splitlines()[1:]]
+    assert [(r.n, r.method) for r in rows if r.kappa == np.inf] == rank_zero
 
 
 def test_closure_seconds_and_cell_log_lines(caplog):
@@ -767,26 +800,38 @@ def test_line_chart_skips_nonfinite(logy):
     assert "nan" not in svg and "inf" not in svg
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_an_overflowing_descent_still_draws_every_figure(tmp_path):
-    # every descent overflows theta, so every final loss is NaN; the loss
-    # figure leaves those points out and the sweep and plot commands succeed
+def test_an_overflowing_descent_still_draws_every_figure(tmp_path, capsys):
+    # every descent overflows theta: each cell fails at the step that
+    # diverged, no numpy warning is printed and the sweep exits 1
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "qubit_range": [2, 3], "opt_steps": 5, "opt_rate": 1e308,
         "sampling": {"n_samples": 3}, "workers": 1, "out_dir": str(tmp_path / "run"),
     }))
-    assert cli_main(["sweep", "--config", str(config)]) == 0
-    run = tmp_path / "run"
-    rows = (run / "records.csv").read_text().splitlines()[1:]
-    assert len(rows) == 6
-    assert all(np.isnan(SweepRecord.from_csv_row(row).loss_final) for row in rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["sweep", "--config", str(config)]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6
+    for line in err:
+        assert re.fullmatch(r"cell failure n=[23] method=\w+: FloatingPointError: "
+                            r"descent step [0-5] of 5 diverged: .+", line), line
+    assert (tmp_path / "run" / "records.csv").read_text() == CSV_HEADER + "\n"
+    # a records.csv with a NaN loss still draws every figure, the loss
+    # figure its finite points only
+    records = tmp_path / "hand" / "records.csv"
+    records.parent.mkdir()
+    records.write_text("\n".join([
+        CSV_HEADER,
+        "2,full,14,2.0,2,1.5,0.125,0.25,0.25,nan,6,6,0.0",
+        "3,full,14,3.0,3,2.5,0.0625,0.125,0.1875,-0.5,9,9,0.0",
+    ]) + "\n")
+    assert cli_main(["plot", "--records", str(records), "--out", str(tmp_path / "figs")]) == 0
     figures = sorted([name for name, *_ in METHOD_FIGURES] + ["metric_spectra.svg"])
-    assert sorted(p.name for p in run.glob("*.svg")) == figures
-    assert cli_main(["plot", "--records", str(run / "records.csv"),
-                     "--out", str(tmp_path / "figs")]) == 0
     assert sorted(p.name for p in (tmp_path / "figs").glob("*.svg")) == figures
+    loss_svg = (tmp_path / "figs" / "loss_vs_n.svg").read_text()
+    assert loss_svg.count("<circle") == 1 and "nan" not in loss_svg
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1064,17 @@ def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {flag} {value}: ValueError: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_metric_of_a_rank_zero_circuit_prints_strict_json(tmp_path, capsys):
+    # Z rotations on |00> leave the state still: rank 0, kappa null
+    circuit_file = tmp_path / "c.json"
+    circuit_file.write_text(json.dumps({"n_qubits": 2, "slots": [
+        {"kind": "param", "pauli": "ZI"}, {"kind": "param", "pauli": "IZ"},
+    ]}))
+    assert cli_main(["metric", "--circuit", str(circuit_file)]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert payload["rank"] == 0 and payload["kappa"] is None
 
 
 def test_cli_closure_output_parses(tmp_path, capsys):

@@ -19,7 +19,7 @@ from liepqc.trainability import (
     svd_chain_rule,
     tfim_hamiltonian,
 )
-from liepqc.util import pairwise_mean, rng_from
+from liepqc.util import pairwise_mean, rng_from, stack_size
 
 
 def slot(n, letters, coeff=1.0):
@@ -180,13 +180,17 @@ def test_variance_bytes_ignore_fill_order_property(case):
     in_order = gradient_variance(c, LossSpec(), sampling)
     calls = []
 
-    def permuted_range(n):
-        assert n == len(order)
-        calls.append(n)
-        return list(order)
+    def permuted_frames(circuit, spec):
+        # draw_frames's stacks, filled in ``order``
+        calls.append(spec.n_samples)
+        size = stack_size(circuit.dim)
+        for start in range(0, len(order), size):
+            chunk = order[start:start + size]
+            thetas = np.stack([spec.draw(circuit.num_params, s) for s in chunk])
+            yield chunk, circuit.tangent_frame(thetas)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainability_mod, "range", permuted_range, raising=False)
+        mp.setattr(trainability_mod, "draw_frames", permuted_frames)
         permuted = gradient_variance(c, LossSpec(), sampling)
     assert calls == [len(order)]
     assert permuted.per_component_variance.tobytes() == in_order.per_component_variance.tobytes()
@@ -301,6 +305,14 @@ def test_descent_zero_steps():
     _, traj, _ = gradient_descent(c, LossSpec(), theta0, 0, 0.1)
     assert traj.shape == (1,)
     assert traj[0] == pytest.approx(np.cos(0.6))
+
+
+def test_a_diverging_descent_raises_at_its_step():
+    # a rate of 1e308 overflows theta within the five steps
+    c = build_ansatz("full_hea", 2, 1)
+    theta0 = rng_from(3, "theta0").uniform(0.0, 2.0 * np.pi, c.num_params)
+    with pytest.raises(FloatingPointError, match=r"^descent step [0-4] of 5 diverged: overflow"):
+        gradient_descent(c, LossSpec(), theta0, 5, 1e308)
 
 
 def plain_descent(circuit, loss, theta0, steps, rate):

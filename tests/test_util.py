@@ -1,5 +1,8 @@
-"""Seeding, deterministic reductions, complex JSON encoding, the process runner."""
+"""Seeding, deterministic reductions, complex and strict JSON encoding, the
+process runner."""
 
+import json
+import math
 import multiprocessing
 import os
 import signal
@@ -15,6 +18,7 @@ import liepqc.util as util_mod
 from liepqc.util import (
     complex_from_json,
     complex_to_json,
+    json_text,
     pairwise_mean,
     pairwise_sum,
     rng_from,
@@ -83,6 +87,32 @@ def _pairing_reference(rows: list) -> float:
     if len(rows) % 2:
         paired.append(rows[-1])
     return _pairing_reference(paired)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text("ab", max_size=4), inner, max_size=3),
+    max_leaves=12,
+))
+def test_json_text_is_strict_and_keeps_finite_text(doc):
+    # strict JSON always, and json.dumps's own text wherever that is strict
+    text = json_text(doc)
+    json.loads(text, parse_constant=_no_constant)
+    loose = json.dumps(doc, indent=2)
+    if "NaN" not in loose and "Infinity" not in loose:
+        assert text == loose
+
+
+def test_json_text_writes_nonfinite_floats_as_null():
+    doc = {"kappa": np.inf, "margins": (1.5, np.float64(0.1), -math.inf, math.nan)}
+    assert json.loads(json_text(doc), parse_constant=_no_constant) == {
+        "kappa": None, "margins": [1.5, 0.1, None, None],
+    }
 
 
 @settings(max_examples=80, deadline=None)

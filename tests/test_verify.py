@@ -1,6 +1,7 @@
 """Verification machinery: oracle sanity, mutation sensitivity, report shape."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -319,6 +320,20 @@ def test_verify_suite_raises_what_a_check_raises(monkeypatch, forked_pool, name)
     ])
     with pytest.raises(LookupError, match="injected"):
         verify_suite(_reduced_config(), include_invariants=False)
+
+
+def test_cli_verify_report_writes_a_nan_margin_as_null(monkeypatch, tmp_path):
+    from liepqc.cli import main as cli_main
+
+    check = {"name": "c", "label": "1 c", "passed": False, "margin": float("nan"),
+             "detail": "worst nan", "seconds": 0.25}
+    report = {"passed": False, "shared_sweep_s": 0.5, "wall_s": 1.25, "checks": [check]}
+    monkeypatch.setattr(verify_mod, "verify_suite", lambda config, include_invariants: report)
+    out = tmp_path / "report.json"
+    assert cli_main(["verify", "--out", str(out)]) == 1
+    text = out.read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["checks"] == [{**check, "margin": None}]
 
 
 def test_cli_verify_prints_wall_after_shared_sweep(monkeypatch, capsys):
