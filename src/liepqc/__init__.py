@@ -17,11 +17,9 @@ from .geometry import (
 from .trainability import (
     LossSpec,
     VarianceReport,
-    ScalingFit,
     loss_and_gradient,
     svd_chain_rule,
     gradient_variance,
-    fit_scaling,
 )
 from .robustness import PerturbationTrial, perturbation_bound_check
 
@@ -46,11 +44,9 @@ __all__ = [
     "condition_number",
     "LossSpec",
     "VarianceReport",
-    "ScalingFit",
     "loss_and_gradient",
     "svd_chain_rule",
     "gradient_variance",
-    "fit_scaling",
     "PerturbationTrial",
     "perturbation_bound_check",
 ]

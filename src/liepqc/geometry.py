@@ -42,10 +42,16 @@ class SamplingSpec:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
     def draw(self, num_params: int, index: int) -> np.ndarray:
+        """Draw ``index``'s parameters; a gaussian draw that overflows, say
+        at a sigma of 1e308, is a FloatingPointError that names the draw."""
         rng = rng_from(self.seed, "theta", index)
         if self.distribution == "uniform_periodic":
             return rng.uniform(0.0, 2.0 * np.pi, num_params)
-        return self.sigma * rng.standard_normal(num_params)
+        try:
+            with np.errstate(over="raise"):
+                return self.sigma * rng.standard_normal(num_params)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"parameter draw {index} overflowed: {exc}") from exc
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -19,7 +19,6 @@ recorded for every cell of that qubit count.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import logging
 import numbers
@@ -35,7 +34,7 @@ from .circuits import CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
-from .util import _is_number, json_text, rng_from, run_tasks, worker_count
+from .util import _is_number, json_text, rng_from, run_tasks, stable_key, worker_count
 
 CSV_HEADER = (
     "n,method,seed,d_eff,rank,kappa,var_grad_mean,var_grad_first,"
@@ -233,9 +232,9 @@ _CSV_FIELDS = {name: _RECORD_TYPES[name] for name in CSV_HEADER.split(",")}
 
 
 def cell_seed(master_seed: int, n: int, method: str) -> int:
-    """Stable per-cell seed, independent of execution order."""
-    digest = hashlib.sha256(f"{master_seed}:{n}:{method}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
+    """Stable per-cell seed, independent of execution order: the
+    ``stable_key`` of the tag "master_seed:n:method"."""
+    return stable_key(f"{master_seed}:{n}:{method}")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ that J^T J reproduces the Fubini-Study metric exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -178,7 +178,6 @@ class VarianceReport:
     mean_component_variance: float
     first_component_variance: float
     n_samples: int
-    seed: int
     product_var_deff: float
     metric: MetricReport
 
@@ -212,67 +211,8 @@ def gradient_variance(circuit, loss: LossSpec, sampling: SamplingSpec) -> Varian
         mean_component_variance=mean_var,
         first_component_variance=float(per_component[0]),
         n_samples=sampling.n_samples,
-        seed=sampling.seed,
         product_var_deff=mean_var * metric.d_eff,
         metric=metric,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scaling-law fits
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScalingFit:
-    """Least-squares fit of log-variance against d_eff or log n.
-
-    model='exp_in_deff': log Var = intercept - rate * d_eff.
-    model='poly_in_n':   log Var = intercept - rate * log n.
-    """
-
-    model: str
-    rate: float
-    intercept: float
-    r_squared: float
-    n_used: int
-    n_dropped: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def fit_scaling(records: list[tuple[float, float, float]], model: str) -> ScalingFit:
-    """Fit the decay rate from (n, d_eff, variance) records.
-
-    Non-positive variances cannot enter a log fit; they are dropped and
-    counted, never clamped.
-    """
-    if model not in ("exp_in_deff", "poly_in_n"):
-        raise ValueError(f"unknown scaling model {model!r}")
-    usable = [(n, d, v) for (n, d, v) in records if v > 0]
-    dropped = len(records) - len(usable)
-    if len(usable) < 3:
-        raise ValueError("need at least 3 records with positive variance")
-    y = np.log([v for _, _, v in usable])
-    if model == "exp_in_deff":
-        x = np.array([d for _, d, _ in usable])
-    else:
-        x = np.log([n for n, _, _ in usable])
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    pred = design @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ScalingFit(
-        model=model,
-        rate=-slope,
-        intercept=intercept,
-        r_squared=r2,
-        n_used=len(usable),
-        n_dropped=dropped,
     )
 
 

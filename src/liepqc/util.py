@@ -7,6 +7,8 @@ All randomness in the package flows through :func:`rng_from`, which derives
 independent numpy Generators from a master seed plus an arbitrary tag tuple.
 Tags may mix ints and strings; strings are hashed with SHA-256 so streams are
 stable across processes and Python versions (no salted ``hash()``).
+:func:`stable_key` is the package's one SHA-256 user: ``sweep.cell_seed``
+takes its per-cell seed from it too.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Import footprint: the package and its entry points load without scipy, the
-benchmark's layer tracer finds every name it patches, and every call the
-benchmark's workloads make still binds."""
+benchmark's layer tracer finds every name it patches, every call the
+benchmark's workloads make still binds, and every public name in the package
+has a reader."""
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -91,3 +93,29 @@ def test_benchmark_workload_calls_bind():
     ]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node``'s subtree reads."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_reader():
+    # each module-level public function and class is read somewhere in the
+    # package outside its own definition and __init__.py; a name read only
+    # from unread definitions counts as unread
+    top = [node for path in sorted((SRC / "liepqc").glob("*.py")) if path.name != "__init__.py"
+           for node in ast.parse(path.read_text()).body]
+    reads = [(node, _reads(node)) for node in top]
+    readers = {node.name: [other for other, names in reads if other is not node and node.name in names]
+               for node in top
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    unread: set[str] = set()
+    while True:
+        now = {name for name, nodes in readers.items()
+               if all(getattr(other, "name", None) in unread for other in nodes)}
+        if now == unread:
+            break
+        unread = now
+    assert sorted(unread) == []

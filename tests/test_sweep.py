@@ -147,16 +147,12 @@ PINNED_JSON = {
         '"master_seed": 14, "out_dir": "results", "workers": 2}'
     ),
     "sampling": '{"distribution": "uniform_periodic", "n_samples": 50, "seed": 3, "sigma": 1.0}',
-    "scaling_fit": (
-        '{"model": "poly_in_n", "rate": 1.5, "intercept": -0.25, "r_squared": 0.875, '
-        '"n_used": 4, "n_dropped": 1}'
-    ),
 }
 
 
 def test_json_documents_are_pinned(tmp_path, capsys):
     from liepqc.circuits import circuit_to_json
-    from liepqc.trainability import LossSpec, ScalingFit
+    from liepqc.trainability import LossSpec
 
     tfim_gaussian = SweepConfig(
         loss=LossSpec(kind="vqe_tfim", tfim_params=(0.7, 1.3)),
@@ -164,13 +160,10 @@ def test_json_documents_are_pinned(tmp_path, capsys):
         methods=["lie_trunc", "full"],
         workers=2,
     )
-    fit = ScalingFit(model="poly_in_n", rate=1.5, intercept=-0.25, r_squared=0.875,
-                     n_used=4, n_dropped=1)
     got = {
         "default_config": SweepConfig().to_json(),
         "tfim_gaussian_config": tfim_gaussian.to_json(),
         "sampling": SamplingSpec(seed=3).to_json(),
-        "scaling_fit": fit.to_json(),
     }
     assert {name: json.dumps(doc) for name, doc in got.items()} == PINNED_JSON
     circuit_file = tmp_path / "circuit.json"
@@ -288,9 +281,10 @@ def serial_pool(monkeypatch):
 
 def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
     # one pool of 2 for workers=2, none for workers=1; only util starts pools
-    # and binds multiprocessing
+    # and binds multiprocessing, and only util binds hashlib (stable_key is
+    # the one SHA-256 owner)
     import liepqc
-    import liepqc.verify  # noqa: F401  (loaded, so its names are checked too)
+    import liepqc.cli, liepqc.plots, liepqc.verify  # noqa: F401  (loaded, so checked too)
 
     for workers, pools in ((2, [(2, util_mod._one_blas_thread)]), (1, [])):
         serial_pool.clear()
@@ -302,6 +296,7 @@ def test_sweep_pool_runs_blas_on_one_thread(serial_pool):
         if name != "util" and hasattr(module, "__file__"):
             assert not {"ProcessPoolExecutor", "_one_blas_thread", "multiprocessing",
                         "concurrent"} & set(vars(module)), name
+            assert "hashlib" not in vars(module), name
 
 
 @pytest.mark.parametrize("cpus, qubit_range, workers, pool", [
@@ -832,6 +827,34 @@ def test_an_overflowing_descent_still_draws_every_figure(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "figs").glob("*.svg")) == figures
     loss_svg = (tmp_path / "figs" / "loss_vs_n.svg").read_text()
     assert loss_svg.count("<circle") == 1 and "nan" not in loss_svg
+
+
+def test_an_overflowing_draw_fails_its_cell_by_name(tmp_path, capsys):
+    # sigma * N(0, 1) overflows in the full cell's draws: that cell fails
+    # naming the draw, no numpy warning is printed, and every row written
+    # comes from finite draws
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "qubit_range": [2], "opt_steps": 2,
+        "sampling": {"n_samples": 3, "distribution": "gaussian", "sigma": 1e308},
+        "workers": 1, "out_dir": str(tmp_path / "run"),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["sweep", "--config", str(config)]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"cell failure n=2 method=full: FloatingPointError: "
+                        r"parameter draw [0-2] overflowed: .+", err[0]), err[0]
+    lines = (tmp_path / "run" / "records.csv").read_text().splitlines()
+    records = [SweepRecord.from_csv_row(line) for line in lines[1:]]
+    assert [r.method for r in records] == ["random_trunc", "lie_trunc"]
+    for r in records:
+        sampling = SamplingSpec(distribution="gaussian", n_samples=3, sigma=1e308,
+                                seed=cell_seed(14, 2, r.method))
+        for s in range(3):
+            assert np.isfinite(sampling.draw(r.truncated_dim, s)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Losses, gradients, SVD decomposition, variance statistics, scaling fits."""
+"""Losses, gradients, SVD decomposition, variance statistics, gradient descent."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from liepqc.geometry import SamplingSpec, empirical_metric, fs_metric_at
 from liepqc.pauli import PauliSum
 from liepqc.trainability import (
     LossSpec,
-    fit_scaling,
     gradient_descent,
     gradient_variance,
     ground_energy,
@@ -236,52 +235,6 @@ def test_variance_product_pairs_with_metric():
     assert rep.product_var_deff == pytest.approx(
         rep.mean_component_variance * metric.d_eff, rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# scaling fits
-# ---------------------------------------------------------------------------
-
-
-def test_fit_exponential_exact():
-    records = [(n, float(d), float(np.exp(-d))) for n, d in zip(range(2, 7), [2, 4, 6, 8, 10])]
-    fit = fit_scaling(records, "exp_in_deff")
-    assert fit.rate == pytest.approx(1.0, abs=1e-9)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fit_polynomial_exact():
-    records = [(n, 0.0, float(n) ** -2) for n in range(2, 7)]
-    fit = fit_scaling(records, "poly_in_n")
-    assert fit.rate == pytest.approx(2.0, abs=1e-9)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fit_drops_nonpositive_variances():
-    records = [(2, 1.0, 0.5), (3, 2.0, 0.25), (4, 3.0, 0.125), (5, 4.0, 0.0)]
-    fit = fit_scaling(records, "exp_in_deff")
-    assert fit.n_dropped == 1
-    assert fit.n_used == 3
-
-
-def test_fit_needs_three_positive_records():
-    with pytest.raises(ValueError):
-        fit_scaling([(2, 1.0, 0.5), (3, 2.0, 0.0), (4, 3.0, -1.0)], "exp_in_deff")
-
-
-def test_fit_unknown_model():
-    with pytest.raises(ValueError):
-        fit_scaling([(2, 1.0, 0.5)] * 3, "sqrt_in_n")
-
-
-def test_fit_on_sweep_style_records():
-    # decaying but noisy variance: positive rate, finite r^2
-    rng = np.random.default_rng(44)
-    records = [(n, 1.8 * n, float(np.exp(-0.4 * n) * rng.uniform(0.9, 1.1)))
-               for n in range(2, 7)]
-    fit = fit_scaling(records, "poly_in_n")
-    assert fit.rate > 0
-    assert 0.0 <= fit.r_squared <= 1.0
 
 
 # ---------------------------------------------------------------------------
