@@ -8,14 +8,15 @@ factor); fixed gates are arbitrary unitaries such as entangler layers.
 Derivatives use the exact product rule: ``d_k psi`` inserts ``-i H_k`` at slot
 k between the prefix and suffix of the gate product.  A forward pass stores
 the state after every op.  A backward pass carries ``acc``, the product of
-the ops after the current one, starting from the last op's matrix; each
-slot's column ``d_k psi = acc @ (-i H_k psi_k)`` is taken on the way, so no
-list of suffix unitaries is kept.  The simplified form ``-i H_k U`` that is
-sometimes quoted for commuting generators is deliberately not used: the
-metric and gradients here must match finite differences for arbitrary
-non-commuting slot sequences.  A frame takes the cosine and sine of every
-slot angle in one call each (:meth:`CircuitSpec._trig`), and both passes
-read them.
+the ops after the current one, in one of two states: a diagonal, kept as a
+vector, or a dense matrix.  It starts from the identity's diagonal, a vector
+of ones, and each slot's column ``d_k psi = acc @ (-i H_k psi_k)`` is taken
+on the way, so no list of suffix unitaries is kept.  The simplified form
+``-i H_k U`` that is sometimes quoted for commuting generators is
+deliberately not used: the metric and gradients here must match finite
+differences for arbitrary non-commuting slot sequences.  A frame takes the
+cosine and sine of every slot angle in one call each
+(:meth:`CircuitSpec._trig`), and both passes read them.
 
 The frame matches, bit for bit, the plain suffix-product frame that the
 tests keep as an oracle, in which every op is a dense BLAS product.  Three
@@ -32,11 +33,10 @@ input properties let it skip most of those products:
   states by its sign vector.
 * A product in which one factor is diagonal has one nonzero term per entry,
   which the backward pass computes entrywise with OpenBLAS's rounding (see
-  :func:`_one_term_product`).  This covers a diagonal ``acc``, carried as a
-  vector from the last op while the CZ rings and Z-string rotations at the
-  end of the circuit keep it diagonal, and a dense ``acc`` times a sign
-  gate or a Z-string rotation, which scales its columns in O(d^2).  Each
-  takes the cheapest form with those bits:
+  :func:`_one_term_product`).  This covers a diagonal ``acc``, the ones
+  times the CZ rings and Z-string rotations at the end of the circuit, and
+  a dense ``acc`` times a sign gate or a Z-string rotation, which scales
+  its columns in O(d^2).  Each takes the cheapest form with those bits:
 
   - times a sign vector, a purely real factor, numpy's ``*`` rounds each
     product once as BLAS does, and a final +0 gives BLAS's zeros;
@@ -57,10 +57,19 @@ input properties let it skip most of those products:
   cannot express.
 
 Each of these differs from the dense product at most in the sign of a zero,
-and BLAS sums start from +0 (see :func:`_as_blas_sum`); ``acc`` itself may
-hold zeros of either sign, since every product that reads it sums from +0
-or ends with +0.  At dim 2 OpenBLAS rounds one-term products another way,
-so a one-qubit circuit keeps every backward product dense.
+which a BLAS sum, starting from +0, gives as +0 where all its terms are
+zero; ``acc`` itself may hold zeros of either sign, since every product that
+reads it sums from +0 or ends with +0.  At dim 2 OpenBLAS rounds one-term
+products another way, so a one-qubit circuit has no diagonal slot or sign
+gate and its ``acc`` is diagonal only while it is the identity's ones, whose
+products are exact at every dimension.
+
+The forward pass has the oracle's bits too, and where a product underflows
+to zero that takes operand order: numpy's complex ``*`` gives the zero a
+sign that depends on which operand comes first (``cos * state`` can give
+-0 where ``state * cos`` gives +0).  So a string slot computes ``cos *
+state`` and ``i_sin * term`` with the trig factor first, as the dense
+expression ``cos * state - 1j * sin * (P @ state)`` does.
 
 Per op the passes keep numpy calls few, since at n <= 6 their overhead, not
 their arithmetic, is most of a frame: each op writes its state in place,
@@ -69,15 +78,17 @@ and +0 is a complex 0-d array too, which numpy applies as fast as an array
 operand where a Python scalar costs a conversion per call.
 
 ``tangent_frame`` also takes an (S, L) stack of parameter points and runs
-both passes on all S at once: the states become (S, dim) and ``acc`` an
-(S, dim) or (S, dim, dim) stack.  Each point keeps the bits of its own
-frame, because every step does the single frame's arithmetic slice by slice
-and nothing reduces across the stack.  Elementwise ufuncs, the cosine and
-sine of a row of angles among them, compute each entry as they compute it
-for one point; numpy's stacked matmul calls the single product's BLAS
-routine once per slice, gemm for matrix products and gemv for
-matrix-vector products (see :func:`~liepqc.linalg.matvec`).  The
-stacked-frame tests check this byte for byte.
+both passes on all S at once: the states become (S, dim), and ``acc`` an
+(S, dim) or (S, dim, dim) stack once a slot's rotation has entered it;
+until then it is one vector or matrix shared by all S.  Each point keeps
+the bits of its own frame, because every step does the single frame's
+arithmetic slice by slice and nothing reduces across the stack.
+Elementwise ufuncs, the cosine and sine of a row of angles among them,
+compute each entry as they compute it for one point; numpy's stacked matmul
+calls the single product's BLAS routine once per slice, gemm for matrix
+products and gemv for matrix-vector products (see
+:func:`~liepqc.linalg.matvec`).  The stacked-frame tests check this byte
+for byte.
 """
 
 from __future__ import annotations
@@ -98,16 +109,6 @@ NORM_TOL = 1e-10
 _ZERO = np.zeros((), dtype=complex)
 _I = np.array(1j)
 _ZERO.flags.writeable = _I.flags.writeable = False
-
-
-def _as_blas_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x with each -0 turned into +0; every other bit is kept.  Written into
-    ``out`` when given.
-
-    A BLAS product sums from +0, so an entry whose terms are all zero comes
-    out as +0, where the single product that replaces the sum can give -0.
-    """
-    return np.add(x, _ZERO, out=out)
 
 
 def _one_term_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -148,22 +149,10 @@ def _pure_product(a: np.ndarray, *parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _into(value: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """value, copied into ``out`` when that is given."""
-    if out is None:
-        return value
-    out[...] = value
-    return out
-
-
 def _times_dense(acc, acc_diagonal: bool, m: np.ndarray) -> np.ndarray:
-    """acc @ m for a dense m: m itself while acc is the identity (None),
-    m's rows scaled by a diagonal acc, else a BLAS product."""
-    if acc is None:
-        return m
-    if acc_diagonal:
-        return _one_term_product(acc[..., :, None], m)
-    return acc @ m
+    """acc @ m for a dense m: m's rows scaled by a diagonal acc, else a
+    BLAS product."""
+    return _one_term_product(acc[..., :, None], m) if acc_diagonal else acc @ m
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +244,16 @@ class ParamSlot:
                 out[at_off] = off
         return out.reshape(*batch, dim, dim)
 
-    def _absorb(self, acc, acc_diagonal: bool, batched: bool, theta, cos, i_sin):
-        """acc @ exp(-i theta H) for the backward pass (acc None is the
-        identity), and whether it is a diagonal; see :meth:`CircuitSpec.tangent_frame`."""
-        if acc is None:
-            return self.rotation(theta, cos, i_sin), self.diagonal
+    def _absorb(self, acc, acc_diagonal: bool, theta, cos, i_sin):
+        """acc @ exp(-i theta H) for the backward pass, acc a diagonal vector
+        or a dense matrix, and whether the product is a diagonal; see
+        :meth:`CircuitSpec.tangent_frame`."""
         if self.diagonal:
             # cos + off is a purely real plus a purely imaginary factor; a
-            # stack of dense accs takes them as (S, 1, 1) and (S, 1, dim)
+            # dense acc, one or a stack, takes S angles as (S, 1, 1) and
+            # (S, 1, dim)
             off = i_sin * self._neg_phases
-            if batched and not acc_diagonal:
+            if cos.ndim and not acc_diagonal:
                 cos, off = cos[..., None, :], off[..., None, :]
             return _pure_product(acc, cos, off), acc_diagonal
         if acc_diagonal and self.moves:
@@ -277,15 +266,21 @@ class ParamSlot:
     def apply(self, state: np.ndarray, theta, cos, i_sin, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-i theta H) |state>, with ``cos`` and ``i_sin`` as in :meth:`rotation`;
         (S, 1) columns act on an (S, dim) stack of states.  Written into
-        ``out`` when given."""
+        ``out`` when given.
+
+        A string slot computes ``cos * state - i_sin * term`` with the trig
+        factor first in each product, as the dense expression does: where a
+        product underflows, numpy's complex ``*`` signs the zero by operand
+        order, and ``state * cos`` can give +0 where ``cos * state`` gives -0.
+        """
         if self._eig_cache is None:
             term = self._string_apply(state)
-            term *= i_sin
-            out = np.multiply(state, cos, out=out)
+            np.multiply(i_sin, term, out=term)
+            out = np.multiply(cos, state, out=out)
             out -= term
             return out
         vals, vecs = self._eig_cache
-        return _into(matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state)), out)
+        return matvec(vecs, np.exp(-1j * theta * vals) * matvec(vecs.conj().T, state), out=out)
 
     def apply_generator(self, state: np.ndarray) -> np.ndarray:
         """-i H |state>, for one state or an (S, dim) stack."""
@@ -304,7 +299,14 @@ class ParamSlot:
         return (state if cols is None else state.take(cols, axis=-1)) * self._gen_phases
 
     def _string_apply(self, state: np.ndarray) -> np.ndarray:
-        """P |state> for the slot's unit Pauli string P, as a gather; a new array."""
+        """P |state> for the slot's unit Pauli string P, as a gather; a new array.
+
+        The final +0 gives BLAS's zeros: the oracle's ``P @ state`` sums from
+        +0, where a phase times a zero entry can give -0, and that sign
+        survives into ``cos * state - i_sin * term`` wherever ``cos * state``
+        is zero too.  Without it, 149 of the 1785 points of the underflow
+        test's grid differ from the oracle.
+        """
         cols, phases = self._gather
         if cols is None:
             out = state * phases
@@ -352,18 +354,17 @@ class FixedGate:
         """U |state>, for one state or an (S, dim) stack; written into ``out``
         when given."""
         if self.signs is None:
-            return _into(matvec(self.matrix_value, state), out)
+            return matvec(self.matrix_value, state, out=out)
         out = np.multiply(self.signs, state, out=out)
         out += _ZERO
         return out
 
     def _absorb(self, acc, acc_diagonal: bool):
-        """acc @ U for the backward pass (acc None is the identity), and
-        whether it is a diagonal; a sign vector scales acc's columns."""
+        """acc @ U for the backward pass, acc a diagonal vector or a dense
+        matrix, and whether the product is a diagonal; a sign vector scales
+        acc's columns."""
         if self.signs is None:
             return _times_dense(acc, acc_diagonal, self.matrix_value), False
-        if acc is None:
-            return self.signs, True
         return _pure_product(acc, self.signs), acc_diagonal
 
 
@@ -429,6 +430,9 @@ class CircuitSpec:
         self.depth = depth
         self.param_slots = [op for op in self.ops if isinstance(op, ParamSlot)]
         self._coeffs = np.array([slot.coeff for slot in self.param_slots])
+        # the backward pass's first acc, the identity's diagonal
+        self._ones = np.ones(self.dim, dtype=complex)
+        self._ones.flags.writeable = False
 
     @property
     def num_params(self) -> int:
@@ -491,31 +495,28 @@ class CircuitSpec:
         states = self._forward(trig, batch)
         angle, cos, i_sin = trig
 
-        # backward pass: acc is the product of the ops after op i, None while
-        # that is the identity, a (*batch, dim) diagonal while it is one, then
-        # dense; a slot's column is taken before acc absorbs it.  Every
+        # backward pass: acc is the product of the ops after op i, a diagonal
+        # vector while it is one, starting from the identity's ones, then a
+        # dense matrix; either may be one for all points or (S, ...) per
+        # point.  A slot's column is taken before acc absorbs it.  Every
         # product that reads acc sums from +0 or ends with +0, so acc's zeros
         # may carry either sign; acc is never written in place
         partials = np.empty((*batch, self.dim, self.num_params), dtype=complex)
         columns = partials.transpose(-1, *range(len(batch) + 1))   # [k] is partials[..., k]
-        acc, acc_diagonal, batched = None, False, bool(batch)
+        acc, acc_diagonal = self._ones, True
         k = self.num_params
         for i in range(n_ops - 1, -1, -1):
             op = self.ops[i]
             if isinstance(op, ParamSlot):
                 k -= 1
                 col = op._column(states[i + 1])
-                if acc is None:
-                    _as_blas_sum(col, out=columns[k])
-                elif acc_diagonal:
+                if acc_diagonal:
                     _one_term_product(acc, col, out=columns[k])
                 else:
                     columns[k] = matvec(acc, col)
                 if k == 0:
                     break           # the ops before the first slot enter no column
-                acc, acc_diagonal = op._absorb(
-                    acc, acc_diagonal, batched, angle[k], cos[k, ...], i_sin[k, ...]
-                )
+                acc, acc_diagonal = op._absorb(acc, acc_diagonal, angle[k], cos[k, ...], i_sin[k, ...])
             else:
                 acc, acc_diagonal = op._absorb(acc, acc_diagonal)
         return TangentFrame(states[n_ops], partials)

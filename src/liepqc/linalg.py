@@ -48,18 +48,20 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for one vector, or draw by draw for an (S, dim) stack of them.
+def matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """m @ v for one vector, or draw by draw for an (S, dim) stack of them;
+    written into ``out`` when given.
 
     ``m`` is one matrix or an (S, dim, dim) stack.  One vector goes through
     ``np.dot``, which calls the same matrix-vector BLAS routine (gemv) as
-    ``@`` with less call overhead.  For a stack, the trailing unit axis
-    makes numpy's stacked matmul call that routine slice by slice, so every
-    slice keeps the single product's bits.
+    ``@`` with less call overhead; its ``out`` must be a C-contiguous complex
+    vector.  For a stack, the trailing unit axis makes numpy's stacked matmul
+    call that routine slice by slice, so every slice keeps the single
+    product's bits; ``out`` gets the same axis and may be any (S, dim) view.
     """
     if v.ndim == 1:
-        return np.dot(m, v)
-    return (m @ v[..., None])[..., 0]
+        return np.dot(m, v, out=out)
+    return np.matmul(m, v[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

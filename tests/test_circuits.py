@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from liepqc.circuits import (
@@ -10,7 +10,6 @@ from liepqc.circuits import (
     FixedGate,
     ParamSlot,
     TangentFrame,
-    _as_blas_sum,
     _one_term_product,
     build_ansatz,
     circuit_from_json,
@@ -21,6 +20,12 @@ from liepqc.lie import apply_lie_trunc, apply_random_trunc, lie_closure
 from liepqc.linalg import matvec
 from liepqc.pauli import PauliSum, all_strings
 from liepqc.util import complex_to_json
+
+
+def _as_blas_sum(x):
+    """x with each -0 turned into +0, as a BLAS sum, which starts from +0,
+    gives an entry whose terms are all zero; every other bit is kept."""
+    return x + 0j
 
 
 def slot(n, letters, coeff=1.0):
@@ -375,8 +380,20 @@ def _diagonal_circuits(draw):
     return c, thetas
 
 
+def _underflow_case():
+    """n = 6: an all-+1 sign gate, then slots IIIIYY, IIIIII and IIIIII at
+    angles (-5e-324, 0, pi/2).  The last slot's cos times state entry 3,
+    +0 - 5e-324j, underflows; the oracle's cos * state gives its imaginary
+    part -0 where state * cos gives +0."""
+    n = 6
+    ops = [FixedGate(np.eye(2 ** n, dtype=complex), "signs"),
+           *(slot(n, w) for w in ("IIIIYY", "IIIIII", "IIIIII"))]
+    return CircuitSpec(n, ops), np.array([[-5e-324, 0.0, np.pi / 2]])
+
+
 @settings(max_examples=80, deadline=None)
 @given(_diagonal_circuits())
+@example(_underflow_case())
 def test_diagonal_products_match_suffix_product_oracle_bytes(case):
     # the backward pass's entrywise products (a diagonal acc, a diagonal
     # rotation or sign gate) against the all-BLAS oracle, one point and stacked
@@ -388,6 +405,81 @@ def test_diagonal_products_match_suffix_product_oracle_bytes(case):
         for field in ("state", "partials", "projected"):
             assert getattr(single, field).tobytes() == getattr(want, field).tobytes(), field
             assert getattr(stacked, field)[s].tobytes() == getattr(want, field).tobytes(), field
+
+
+def _oracle_mismatches(c, thetas):
+    """(row, field, frame) of each byte mismatch against the suffix-product
+    oracle, for the frame of the (S, L) stack and each one-point frame."""
+    stacked = c.tangent_frame(thetas)
+    bad = []
+    for s, theta in enumerate(thetas):
+        want, single = suffix_product_frame(c, theta), c.tangent_frame(theta)
+        for field in ("state", "partials"):
+            frames = {"single": getattr(single, field), "stacked": getattr(stacked, field)[s]}
+            bad += [(s, field, name) for name, got in frames.items()
+                    if got.tobytes() != getattr(want, field).tobytes()]
+    return bad
+
+
+def _op_names(c):
+    return [op.generator_text() if isinstance(op, ParamSlot) else op.label for op in c.ops]
+
+
+UNDERFLOW_ANGLES = np.array(
+    [5e-324, -5e-324, 1e-310, -1e-160, np.pi / 2, -np.pi / 2, np.pi, 0.0, -0.0, 0.3]
+)
+
+
+def test_underflowing_products_match_suffix_product_oracle_bytes():
+    # where a product underflows, numpy's complex * signs the zero by operand
+    # order: the forward pass multiplies cos * state and i_sin * term, as the
+    # oracle does.  The stored case, then random string circuits (all 4^n
+    # words, CZ rings) at angles whose products underflow or cancel
+    c, thetas = _underflow_case()
+    assert not _oracle_mismatches(c, thetas)
+    rng = np.random.default_rng(46)
+    for n in (1, 2, 3):
+        words = all_strings(n)
+        for _ in range(200):
+            ops = [
+                FixedGate(cz_ring_matrix(n), "cz") if n >= 2 and rng.random() < 0.15
+                else slot(n, words[rng.integers(len(words))])
+                for _ in range(rng.integers(2, 5))
+            ]
+            c = CircuitSpec(n, ops)
+            thetas = rng.choice(UNDERFLOW_ANGLES, size=(3, c.num_params))
+            assert not _oracle_mismatches(c, thetas), (_op_names(c), thetas)
+
+
+def test_stacked_mixed_frames_match_suffix_product_oracle_bytes():
+    # stacks of S = 1, 3 and dim points through every state of acc: dense
+    # unitary gates, +-1 sign gates, two-string slots, Z-only and X/Y
+    # strings, so that an acc shared by all points, diagonal or dense, meets
+    # per-point rotations of every kind
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        dim = 2 ** n
+        z_words = [w for w in all_strings(n) if set(w) <= {"I", "Z"}]
+        xy_words = [w for w in all_strings(n) if "X" in w or "Y" in w]
+
+        def random_op():
+            kind = rng.integers(5)
+            if kind == 0:
+                return FixedGate(random_unitary(rng, dim), "u")
+            if kind == 1:
+                return FixedGate(np.diag(rng.choice([1.0, -1.0], dim) + 0j), "signs")
+            if kind == 2:
+                a, b = rng.choice(all_strings(n), size=2, replace=False)
+                return ParamSlot(PauliSum(n, {a: rng.normal(), b: rng.normal()}))
+            words = z_words if kind == 3 else xy_words
+            return slot(n, words[rng.integers(len(words))], rng.choice([1.0, -0.5]))
+
+        for _ in range(150):
+            c = CircuitSpec(n, [random_op() for _ in range(rng.integers(1, 6))])
+            for rows in (1, 3, dim):
+                thetas = rng.uniform(-np.pi, np.pi, (rows, c.num_params))
+                thetas[rng.random(thetas.shape) < 0.2] = 0.0
+                assert not _oracle_mismatches(c, thetas), (_op_names(c), thetas)
 
 
 def _one_term_inputs(rng, shape):
@@ -470,7 +562,6 @@ def test_backward_product_forms_match_blas_bytes():
             acc = _one_term_inputs(rng, (*batch, dim, dim))
             diag = _one_term_inputs(rng, (*batch, dim))
             angles = rng.uniform(-np.pi, np.pi, (*batch, 1)) if batch else 0.7
-            stacked = bool(batch)
 
             want = acc @ gate.matrix_value
             assert gate._absorb(acc, False)[0].tobytes() == want.tobytes(), dim
@@ -484,7 +575,7 @@ def test_backward_product_forms_match_blas_bytes():
                 vec = rot.diagonal(axis1=-2, axis2=-1)
                 # a diagonal acc keeps one nonzero term per entry against any rotation
                 want = dense_diag(diag) @ rot
-                got, got_diagonal = op._absorb(diag, True, stacked, *trig)
+                got, got_diagonal = op._absorb(diag, True, *trig)
                 if got_diagonal:
                     want = want.diagonal(axis1=-2, axis2=-1)
                     assert (diag * vec).tobytes() != want.tobytes(), dim
@@ -492,7 +583,7 @@ def test_backward_product_forms_match_blas_bytes():
                     assert (diag[..., :, None] * rot).tobytes() != want.tobytes(), dim
                 assert got.tobytes() == want.tobytes(), (dim, op.diagonal, batch)
             want = acc @ dense_rotation(z_slot, angles)
-            got, _ = z_slot._absorb(acc, False, stacked, *frame_trig(z_slot, angles))
+            got, _ = z_slot._absorb(acc, False, *frame_trig(z_slot, angles))
             assert got.tobytes() == want.tobytes(), (dim, batch)
             vec = dense_rotation(z_slot, angles).diagonal(axis1=-2, axis2=-1)
             assert (acc * vec[..., None, :]).tobytes() != want.tobytes(), dim
