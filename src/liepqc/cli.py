@@ -35,14 +35,15 @@ def _load_circuit(path: str):
         with open(path) as fh:
             return circuit_from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"input error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _input_error(path, exc)
         return None
 
 
-def _flag_error(flag: str, value, exc: ValueError) -> int:
-    """Report a flag value the library rejects, or a path that cannot be
-    written, as an input error (exit 2)."""
-    print(f"input error: {flag} {value}: {type(exc).__name__}: {exc}", file=sys.stderr)
+def _input_error(culprit, exc: Exception) -> int:
+    """Report an input the library rejects as an input error (exit 2): a
+    file by its path, or a flag value, or a path that cannot be written, as
+    ``"--flag value"``."""
+    print(f"input error: {culprit}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
 
 
@@ -114,8 +115,9 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         return 2
     try:
         basis = lie_closure(circuit.skew_generators(), max_dim=args.max_dim)
-    except ValueError as exc:
-        return _flag_error("--max-dim", args.max_dim, exc)
+    except ValueError as exc:  # a bad --max-dim, or a circuit with no span to close
+        culprit = args.circuit if args.max_dim is None else f"--max-dim {args.max_dim}"
+        return _input_error(culprit, exc)
     print(json_text(basis.to_json()))
     return 0
 
@@ -129,7 +131,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     try:
         sampling = SamplingSpec(n_samples=args.samples, seed=args.seed)
     except ValueError as exc:
-        return _flag_error("--samples", args.samples, exc)
+        return _input_error(f"--samples {args.samples}", exc)
     rep = empirical_metric(circuit, sampling)
     print(json_text(rep.to_json()))
     return 0
@@ -146,18 +148,21 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
         try:
             model, basis, report = apply_random_trunc(circuit, keep=args.keep, seed=args.seed)
         except ValueError as exc:
-            return _flag_error("--keep", args.keep, exc)
+            return _input_error(f"--keep {args.keep}", exc)
     else:
+        try:  # a circuit with no slot, or none that spans a direction
+            closure = lie_closure(circuit.skew_generators())
+        except ValueError as exc:
+            return _input_error(args.circuit, exc)
         # 0 is the automatic budget; a negative one is below every span
-        closure = lie_closure(circuit.skew_generators())
         try:
             model, basis, report = apply_lie_trunc(
                 circuit, closure, depth_cap=args.depth_cap, dim_budget=args.budget or None
             )
         except ValueError as exc:
             if args.depth_cap < 0:
-                return _flag_error("--depth-cap", args.depth_cap, exc)
-            return _flag_error("--budget", args.budget, exc)
+                return _input_error(f"--depth-cap {args.depth_cap}", exc)
+            return _input_error(f"--budget {args.budget}", exc)
     out = {
         "basis": basis.to_json(),
         "report": report.to_json(),
@@ -177,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:  # an unusable report path, the empty one too, fails before any check runs
             open(args.out, "a").close()
         except OSError as exc:
-            return _flag_error("--out", args.out, exc)
+            return _input_error(f"--out {args.out}", exc)
     report = verify_suite(config, include_invariants=not args.acceptance_only)
     print(f"shared sweep: {report['shared_sweep_s']:.2f}s")
     print(f"verify wall: {report['wall_s']:.2f}s")
@@ -207,15 +212,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             if reading.exists():
                 spectra[(rec.method, rec.n)] = read_spectrum_csv(reading)
     except (OSError, ValueError) as exc:
-        print(f"input error: {reading}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(reading, exc)
     out_dir = path.parent if args.out is None else args.out
     try:  # an unusable output path fails before any figure is drawn
         if not out_dir:  # Path("") would be the current directory
             raise FileNotFoundError("an empty path names no directory")
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _flag_error("--out", out_dir, exc)
+        return _input_error(f"--out {out_dir}", exc)
     created = emit_plots(records, out_dir, spectra=spectra or None)
     print(f"wrote {len(created)} figures to {out_dir}")
     return 0

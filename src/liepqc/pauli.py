@@ -20,6 +20,8 @@ where text goes in or out: the ``PauliSum(n, {letters: c})`` constructor,
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .linalg import HERMITICITY_RTOL
@@ -108,7 +110,8 @@ class PauliSum:
         """Parse ``"1.0*XIZ + (0.25+0.5j)*YII"`` style text.
 
         Terms are split on '+' outside parentheses, so complex coefficients
-        keep their inner sign.
+        keep their inner sign.  A coefficient that is not finite, or a sum of
+        them that overflows, is a ValueError.
         """
         chunks: list[str] = []
         depth = 0
@@ -134,6 +137,8 @@ class PauliSum:
             letters = letters.strip()
             coeff = _parse_coeff(coeff_text) if coeff_text else 1.0
             terms[letters] = terms.get(letters, 0) + coeff
+            if not cmath.isfinite(terms[letters]):
+                raise ValueError(f"term {chunk!r} gives a non-finite coefficient")
         return cls(n_qubits, terms)
 
     @classmethod
@@ -142,10 +147,13 @@ class PauliSum:
 
         Each coefficient is Tr(P^dagger M) / 2^n, whose diagonal entry r is
         conj(P[c, r]) M[c, r] at c = cols[r], summed as ``np.trace`` sums it.
+        A NaN or infinite entry is a ValueError.
         """
         dim = 2 ** n_qubits
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix has shape {matrix.shape}, expected {(dim, dim)}")
+        if not np.isfinite(matrix).all():   # a NaN coefficient would be dropped as zero
+            raise ValueError("matrix has a non-finite entry")
         rows = np.arange(dim)
         terms: dict[int, complex] = {}
         for letters in all_strings(n_qubits):

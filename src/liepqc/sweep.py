@@ -30,7 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .circuits import CircuitSpec, build_ansatz
+from .circuits import MAX_QUBITS, CircuitSpec, build_ansatz
 from .geometry import SamplingSpec, spectrum_path, write_spectrum_csv
 from .lie import LieBasis, apply_lie_trunc, apply_random_trunc, lie_closure
 from .trainability import LossSpec, gradient_variance, gradient_descent
@@ -82,8 +82,8 @@ class SweepConfig:
         for name, value in integers:
             if not _is_number(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
-        if any(not 1 <= n <= 10 for n in self.qubit_range):
-            raise ConfigError("qubit_range entries must lie in [1, 10]")
+        if any(not 1 <= n <= MAX_QUBITS for n in self.qubit_range):
+            raise ConfigError(f"qubit_range entries must lie in [1, {MAX_QUBITS}]")
         if len(set(self.qubit_range)) < len(self.qubit_range):
             raise ConfigError(f"qubit_range repeats a qubit count: {self.qubit_range}")
         if self.depth < 1:

@@ -503,10 +503,17 @@ def _diagonal_factors(rng, dim):
         yield z_slot.rotation(*slot_trig(z_slot, t))
 
 
+def _split_product(a, b):
+    """_one_term_product of ``a`` and a general complex factor ``b``, passed
+    as its purely real and purely imaginary halves."""
+    return _one_term_product(a, b.real, 1j * b.imag)
+
+
 def test_one_term_product_bytes_match_blas():
     # the rule behind every entrywise product of the backward pass:
     # re = (ar*br + 0) - (ai*bi + 0), im = (ar*bi + 0) + (ai*br + 0), each
-    # product rounded; BLAS sums a one-term entry that way from dim 4 up
+    # product rounded; BLAS sums a one-term entry that way from dim 4 up.  A
+    # general factor goes in as its purely real and purely imaginary halves
     rng = np.random.default_rng(41)
     for n in range(2, 9):
         dim = 2 ** n
@@ -514,26 +521,26 @@ def test_one_term_product_bytes_match_blas():
             full = _one_term_inputs(rng, (dim, dim))
             vec = _one_term_inputs(rng, dim)
             d = np.diag(diag)
-            assert _one_term_product(diag[:, None], full).tobytes() == (d @ full).tobytes(), dim
-            assert _one_term_product(full, diag[None, :]).tobytes() == (full @ d).tobytes(), dim
-            assert _one_term_product(diag, vec).tobytes() == (d @ vec).tobytes(), dim
-            assert _one_term_product(diag, diag).tobytes() == (d @ d).diagonal().tobytes(), dim
+            assert _split_product(diag[:, None], full).tobytes() == (d @ full).tobytes(), dim
+            assert _split_product(full, diag[None, :]).tobytes() == (full @ d).tobytes(), dim
+            assert _split_product(diag, vec).tobytes() == (d @ vec).tobytes(), dim
+            assert _split_product(diag, diag).tobytes() == (d @ d).diagonal().tobytes(), dim
         # stacked: numpy's matmul runs BLAS slice by slice
         diags = _one_term_inputs(rng, (3, dim))
         fulls = _one_term_inputs(rng, (3, dim, dim))
         vecs = _one_term_inputs(rng, (3, dim))
         ds = np.zeros((3, dim, dim), dtype=complex)
         ds[:, np.arange(dim), np.arange(dim)] = diags
-        assert _one_term_product(diags[..., None], fulls).tobytes() == (ds @ fulls).tobytes()
-        assert _one_term_product(fulls, diags[:, None, :]).tobytes() == (fulls @ ds).tobytes()
-        assert _one_term_product(diags, vecs).tobytes() == matvec(ds, vecs).tobytes()
+        assert _split_product(diags[..., None], fulls).tobytes() == (ds @ fulls).tobytes()
+        assert _split_product(fulls, diags[:, None, :]).tobytes() == (fulls @ ds).tobytes()
+        assert _split_product(diags, vecs).tobytes() == matvec(ds, vecs).tobytes()
         # numpy's complex * rounds otherwise, so a BLAS that did the same would
         # fail here and not only in the CSV pin
         a, b = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
         full = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert (a[:, None] * full).tobytes() != (np.diag(a) @ full).tobytes(), dim
-        assert (a[:, None] * full).tobytes() != _one_term_product(a[:, None], full).tobytes()
-        assert (a * b).tobytes() != _one_term_product(a, b).tobytes(), dim
+        assert (a[:, None] * full).tobytes() != _split_product(a[:, None], full).tobytes()
+        assert (a * b).tobytes() != _split_product(a, b).tobytes(), dim
 
 
 def frame_trig(op, t):
@@ -647,7 +654,10 @@ def test_string_slot_gather_bytes_match_dense_product():
             s = slot(n, letters, 0.5)
             p = PauliSum.from_letters(n, letters).dense()
             for psi in states:
-                assert s.apply_generator(psi).tobytes() == (-1j * 0.5 * (p @ psi)).tobytes()
+                # the gather times -1j * 0.5 * P's entries may sign a zero
+                # otherwise, which every product the column enters sums away
+                want = _as_blas_sum(-1j * 0.5 * (p @ psi))
+                assert _as_blas_sum(s.apply_generator(psi)).tobytes() == want.tobytes()
                 for t in (0.7, -2.5):
                     want = np.cos(0.5 * t) * psi - 1j * np.sin(0.5 * t) * (p @ psi)
                     assert s.apply(psi, *slot_trig(s, t)).tobytes() == want.tobytes()

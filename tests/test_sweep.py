@@ -1089,6 +1089,58 @@ def test_cli_circuit_input_errors_exit_2(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
+def _unrunnable_circuit(case):
+    """The command to try and full_hea's n = 2, depth 1 document (ring last),
+    edited so that no command can run it."""
+    from liepqc.circuits import circuit_to_json
+
+    doc = circuit_to_json(build_ansatz("full_hea", 2, 1))
+    nan, command = float("nan"), ["metric"]
+    if case == "nan_gate_entry":
+        doc["slots"][-1]["matrix"][0][0] = [nan, 0.0]
+    elif case == "nan_state_entry":
+        doc["initial_state"][0] = [nan, 0.0]
+    elif case == "fractional_qubit_count":
+        doc["n_qubits"] = 2.7
+    elif case == "boolean_qubit_count":
+        doc.update(n_qubits=True, slots=[{"kind": "param", "pauli": "X"}],
+                   initial_state=[[1.0, 0.0], [0.0, 0.0]])
+    elif case == "qubit_count_above_the_maximum":
+        doc.update(n_qubits=50, slots=[{"kind": "param", "pauli": "X" * 50}])
+        del doc["initial_state"]
+        command = ["closure"]
+    elif case == "infinite_coefficient":
+        doc["slots"][0]["pauli"] = "1e400*YI"
+    elif case == "nan_matrix_slot":
+        matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+        matrix[0][0] = [nan, 0.0]
+        doc["slots"][0] = {"kind": "param", "matrix": matrix}
+    else:
+        doc["slots"] = doc["slots"][-1:]
+        command = ["closure"] if case == "slotless_closure" else ["truncate", "--mode", "lie"]
+    return command, doc
+
+
+@pytest.mark.parametrize("case", [
+    "nan_gate_entry", "nan_state_entry", "fractional_qubit_count", "boolean_qubit_count",
+    "qubit_count_above_the_maximum", "infinite_coefficient", "nan_matrix_slot",
+    "slotless_closure", "slotless_lie_truncation",
+])
+def test_cli_unrunnable_circuits_are_input_errors_on_the_file(tmp_path, capsys, case):
+    # each of these once gave exit 0 (NaN metrics or numpy warnings), an
+    # uncaught traceback, or an input error that blamed --max-dim
+    command, doc = _unrunnable_circuit(case)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main([command[0], "--circuit", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: ValueError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_metric_of_a_rank_zero_circuit_prints_strict_json(tmp_path, capsys):
     # Z rotations on |00> leave the state still: rank 0, kappa null
     circuit_file = tmp_path / "c.json"
